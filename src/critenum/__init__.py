@@ -2,7 +2,7 @@
 
 A bitset-backed toolkit for k-vertex-critical graphs in hereditary classes
 defined by forbidden induced subgraphs: exact coloring, canonical labeling,
-induced-pattern search, recursive exhaustive generation with
+induced-pattern search, exhaustive level-by-level generation with
 criticality-based pruning, and a certifying 4-colorability checker.
 """
 
@@ -29,17 +29,13 @@ from .critical import (
     is_k_vertex_critical,
 )
 from .enumeration import (
-    NO_PRUNING,
     EnumerationResult,
-    ExpansionObligation,
-    PruningFlags,
     SearchConfig,
     all_graphs,
     default_max_order_for,
     enumerate_5vc,
     find_obligations,
     one_vertex_extensions,
-    pruning_allows,
     recursively_enumerate,
     seed_graphs,
     sort_graphs,
@@ -47,7 +43,6 @@ from .enumeration import (
 )
 from .graph6 import (
     Graph6Error,
-    GraphListFile,
     decode_graph6,
     encode_graph6,
     read_graph6_file,

@@ -15,21 +15,12 @@ import os
 import sys
 from collections import Counter
 
-from .canon import are_isomorphic, canonical_form
+from .canon import are_isomorphic
 from .certify import IncompleteListError, NotInClassError, certify_4_colorability
 from .coloring import chromatic_number
 from .critical import is_k_critical_in_class, is_k_vertex_critical
-from .enumeration import (
-    NO_PRUNING,
-    EnumerationResult,
-    PruningFlags,
-    SearchConfig,
-    default_max_order_for,
-    enumerate_5vc,
-    recursively_enumerate,
-    sort_graphs,
-)
-from .graph6 import Graph6Error, decode_graph6, encode_graph6, read_graph6_file, write_graph6_file
+from .enumeration import SearchConfig, default_max_order_for, enumerate_5vc, recursively_enumerate
+from .graph6 import Graph6Error, encode_graph6, read_graph6_file, write_graph6_file
 from .graphs import Graph, bits, induced_subgraph
 from .patterns import Pattern, is_family_free, parse_pattern
 
@@ -62,14 +53,17 @@ def _named_h(family: tuple[Pattern, ...]) -> Pattern:
 
 
 def _seed_graphs(source: str) -> list[Graph]:
-    if os.path.exists(source):
-        return read_graph6_file(source)
-    return [parse_pattern(source).graph]
+    if not os.path.exists(source):
+        return [parse_pattern(source).graph]
+    seeds = read_graph6_file(source)
+    if not seeds:
+        raise ValueError(f"no seed graphs in {source}")
+    return seeds
 
 
 def cmd_enumerate(args) -> int:
     family = _parse_family(args.forbid)
-    pruning = NO_PRUNING if args.no_prune else PruningFlags()
+    pruning = not args.no_prune
     jobs = max(1, args.jobs)
 
     def progress(order, count):
@@ -84,24 +78,9 @@ def cmd_enumerate(args) -> int:
     else:
         if args.max_order is None:
             raise ValueError("--max-order is required unless --seed auto names a known H")
-        seeds = _seed_graphs(args.seed)
         cfg = SearchConfig(k=args.k, family=family, max_order=args.max_order,
-                           seeds=tuple(seeds), pruning=pruning)
-        seen: set[bytes] = set()
-        out: list[Graph] = []
-        visited = 0
-        complete = True
-        for seed in seeds:
-            res = recursively_enumerate(cfg, seed, seen, out, jobs=jobs, progress=progress)
-            visited += res.nodes_visited
-            complete = complete and res.complete
-        ordered = sort_graphs(out)
-        result = EnumerationResult(
-            graphs=ordered,
-            per_order_counts=dict(sorted(Counter(g.n for g in ordered).items())),
-            nodes_visited=visited,
-            complete=complete,
-        )
+                           seeds=tuple(_seed_graphs(args.seed)), pruning=pruning)
+        result = recursively_enumerate(cfg, jobs=jobs, progress=progress)
 
     write_graph6_file(args.out, result.graphs)
     _p(f"wrote {len(result.graphs)} graphs to {args.out}")

@@ -4,9 +4,13 @@ The search grows graphs one vertex at a time from seed graphs.  A graph
 whose chromatic number is still below k is extended by a new vertex with
 every allowed neighborhood; a graph that reached chromatic number k is
 emitted iff it is k-vertex-critical, and never extended (no supergraph of a
-non-critical chi >= k graph can be vertex-critical).  Canonical forms keep
-a global seen-set so no graph is expanded twice, regardless of how many
-seeds or paths reach it.
+non-critical chi >= k graph can be vertex-critical).
+
+One level-synchronous driver, :func:`recursively_enumerate`, runs the whole
+search.  Level n holds the children of level n - 1 followed by the seeds of
+order n.  A child always has one vertex more than its parent, so a
+canonical-form set per level removes every duplicate, whichever seed or
+path reached it, and each level's set is dropped once the level is done.
 
 Pruning rests on one fact about any vertex-critical completion G of the
 working graph I: G contains no comparable vertices and, more generally, no
@@ -18,35 +22,30 @@ obstruction are skipped.  Every vertex-critical supergraph survives some
 addition order, so the output set is unchanged (the no-pruning run is the
 differential oracle for this).
 
-Workers share nothing but the seen-set, which the round-based driver owns;
-results are merged in deterministic submission order, so output is
-byte-identical for any job count.
+One process pool serves the whole run, and results are merged in
+submission order, so output is byte-identical for any job count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 from .canon import canonical_form
 from .coloring import is_k_colorable
-from .critical import find_comparable_pair, find_xy_obstruction
-from .graphs import Graph, _graph, complement, complete, cycle, delete_vertex
+from .critical import find_xy_obstruction
+from .graphs import (
+    Graph,
+    VertexSet,
+    add_vertex_with_neighborhood,
+    complement,
+    complete,
+    cycle,
+    delete_vertex,
+)
 from .patterns import Pattern, free_after_extension, is_family_free, parse_pattern
-
-
-@dataclass(frozen=True)
-class PruningFlags:
-    comparable_pair: bool = True
-    xy_obstruction: bool = True
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.comparable_pair or self.xy_obstruction
-
-
-NO_PRUNING = PruningFlags(comparable_pair=False, xy_obstruction=False)
 
 
 @dataclass(frozen=True)
@@ -55,31 +54,13 @@ class SearchConfig:
     family: tuple[Pattern, ...]
     max_order: int
     seeds: tuple[Graph, ...] = ()
-    pruning: PruningFlags = PruningFlags()
+    pruning: bool = True
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be positive")
         if not 1 <= self.max_order <= 64:
             raise ValueError("max_order must be within 1..64")
-
-
-@dataclass(frozen=True)
-class ExpansionObligation:
-    """An obstruction the next added vertex must repair.
-
-    ``x`` and ``y`` are vertex bitmasks of the working graph; a new vertex
-    is allowed only if it is adjacent to some vertex of ``x`` and
-    nonadjacent to some vertex of ``y``.  The singleton case records a
-    comparable pair (u, v) with N(u) subset of N(v).
-    """
-
-    x: int
-    y: int
-
-    @classmethod
-    def from_pair(cls, u: int, v: int) -> "ExpansionObligation":
-        return cls(1 << u, 1 << v)
 
 
 @dataclass
@@ -92,36 +73,19 @@ class EnumerationResult:
 
 def one_vertex_extensions(g: Graph) -> Iterator[Graph]:
     """All 2^n one-vertex extensions, in ascending neighborhood-mask order."""
-    n = g.n
-    rows = g.rows
-    newbit = 1 << n
-    for s in range(1 << n):
-        yield _graph(
-            n + 1,
-            tuple((r | newbit) if (s >> i) & 1 else r for i, r in enumerate(rows)) + (s,),
-        )
+    for s in range(1 << g.n):
+        yield add_vertex_with_neighborhood(g, s)
 
 
-def find_obligations(g: Graph, flags: PruningFlags) -> list[ExpansionObligation]:
-    """The first obstruction present in ``g`` under the enabled rules (at most one).
+def find_obligations(g: Graph) -> tuple[VertexSet, VertexSet] | None:
+    """The obstruction ``(x, y)`` the next added vertex must repair, or None.
 
-    The subset rule subsumes the comparable-pair rule (singletons are its
-    (1, 1) case), so with both flags on a single scan suffices.
+    ``x`` and ``y`` are vertex bitmasks of ``g``; a new vertex is allowed
+    only if it is adjacent to some vertex of ``x`` and nonadjacent to some
+    vertex of ``y``.  Subsets of up to two vertices are searched, which
+    covers comparable pairs as the (1, 1) case.
     """
-    if flags.xy_obstruction:
-        ob = find_xy_obstruction(g, 2)
-        return [ExpansionObligation(*ob)] if ob else []
-    if flags.comparable_pair:
-        pair = find_comparable_pair(g)
-        return [ExpansionObligation.from_pair(*pair)] if pair else []
-    return []
-
-
-def pruning_allows(g_extended: Graph, obligations: list[ExpansionObligation],
-                   cfg: SearchConfig | None = None) -> bool:
-    """Whether the newest vertex of ``g_extended`` repairs every recorded obligation."""
-    s = g_extended.rows[g_extended.n - 1]
-    return all(s & ob.x and ob.y & ~s for ob in obligations)
+    return find_xy_obstruction(g, 2)
 
 
 # Node outcomes for the search driver.
@@ -145,45 +109,40 @@ def _process_node(g: Graph, cfg: SearchConfig):
 
 def _allowed_free_extensions(g: Graph, cfg: SearchConfig) -> list[Graph]:
     n = g.n
-    rows = g.rows
-    newbit = 1 << n
-    family = cfg.family
-    obligations = find_obligations(g, cfg.pruning)
-    if obligations:
-        xm, ym = obligations[0].x, obligations[0].y
+    masks = range(1 << n)
+    ob = find_obligations(g) if cfg.pruning else None
+    if ob is not None:
+        x, y = ob
+        masks = [s for s in masks if s & x and y & ~s]
     children = []
-    for s in range(1 << n):
-        if obligations and not (s & xm and ym & ~s):
-            continue
-        child = _graph(
-            n + 1,
-            tuple((r | newbit) if (s >> i) & 1 else r for i, r in enumerate(rows)) + (s,),
-        )
-        if free_after_extension(child, family, n):
+    for s in masks:
+        child = add_vertex_with_neighborhood(g, s)
+        if free_after_extension(child, cfg.family, n):
             children.append(child)
     return children
 
 
 def recursively_enumerate(
     cfg: SearchConfig,
-    seed: Graph,
-    seen: set[bytes],
-    out: list[Graph],
     jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> EnumerationResult:
-    """Enumerate all k-vertex-critical family-free graphs above ``seed``.
+    """All k-vertex-critical family-free graphs above the seeds of ``cfg``.
 
-    Every such graph of order <= max_order that contains ``seed`` as an
-    induced subgraph ends up in ``out`` (union over the configured seed
-    calls).  ``seen`` holds canonical forms and is shared by the caller
-    across seeds; a graph reached twice is expanded once.  Truncation (an
+    Every such graph of order <= max_order that contains some seed as an
+    induced subgraph is returned once, sorted by :func:`sort_graphs`.  A
+    seed above the order cap is skipped; a seed that is not family-free is
+    an error.  ``progress(order, count)`` is called once per order, with
+    the number of distinct graphs processed there.  Truncation (an
     extendable graph stopped by the order cap) is reported through
     ``complete=False``, never silently.
     """
-    if not is_family_free(seed, cfg.family):
-        raise ValueError("seed is not family-free")
-    counts: Counter[int] = Counter()
+    seeds_at: dict[int, list[Graph]] = {}
+    for seed in cfg.seeds:
+        if not is_family_free(seed, cfg.family):
+            raise ValueError("seed is not family-free")
+        if seed.n <= cfg.max_order:
+            seeds_at.setdefault(seed.n, []).append(seed)
     visited = 0
     truncated = False
     emitted: list[Graph] = []
@@ -193,46 +152,43 @@ def recursively_enumerate(
         import multiprocessing
 
         pool = multiprocessing.get_context("fork").Pool(jobs)
+
+    def map_level(fn, graphs):
+        if pool is None:
+            return [fn(g) for g in graphs]
+        return pool.map(fn, graphs, max(1, len(graphs) // (jobs * 4)))
+
     try:
-        pending = [seed]
-        while pending:
-            if pool is not None:
-                chunk = max(1, len(pending) // (jobs * 4))
-                forms = pool.map(canonical_form, pending, chunk)
-            else:
-                forms = [canonical_form(g) for g in pending]
+        frontier: list[Graph] = []
+        for order in range(min(seeds_at, default=1), cfg.max_order + 1):
+            level = frontier + seeds_at.get(order, [])
+            if not level:
+                continue
+            seen: set[bytes] = set()
             batch = []
-            for g, cf in zip(pending, forms):
+            for g, cf in zip(level, map_level(canonical_form, level)):
                 if cf not in seen:
                     seen.add(cf)
                     batch.append(g)
-            if pool is not None:
-                from functools import partial
-
-                chunk = max(1, len(batch) // (jobs * 4))
-                outcomes = pool.map(partial(_process_node, cfg=cfg), batch, chunk)
-            else:
-                outcomes = [_process_node(g, cfg) for g in batch]
-            pending = []
+            outcomes = map_level(partial(_process_node, cfg=cfg), batch)
+            visited += len(batch)
+            frontier = []
             for g, (kind, children) in zip(batch, outcomes):
-                visited += 1
                 if kind == _OUT:
                     emitted.append(g)
-                    counts[g.n] += 1
                 elif kind == _TRUNCATED:
                     truncated = True
                 elif kind == _EXPAND:
-                    pending.extend(children)
-            if progress is not None and batch:
-                progress(batch[0].n, len(batch))
+                    frontier.extend(children)
+            if progress is not None:
+                progress(order, len(batch))
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-    out.extend(emitted)
     return EnumerationResult(
-        graphs=emitted,
-        per_order_counts=dict(sorted(counts.items())),
+        graphs=sort_graphs(emitted),
+        per_order_counts=dict(sorted(Counter(g.n for g in emitted).items())),
         nodes_visited=visited,
         complete=not truncated,
     )
@@ -270,52 +226,28 @@ def sporadic_graphs() -> list[Graph]:
 def enumerate_5vc(
     h: Pattern,
     max_order: int | None = None,
-    pruning: PruningFlags = PruningFlags(),
+    pruning: bool = True,
     jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> EnumerationResult:
     """All 5-vertex-critical {P5, h}-free graphs up to ``max_order``.
 
-    Merges the two sporadic graphs (each checked for family-freeness and
-    criticality) with the runs seeded at the complements of C5 and C7,
-    deduplicates, and sorts by (order, canonical form).  Exhaustiveness of
-    the seed set is guaranteed whenever P5 is in the family; the three named
-    companions additionally have known maximum orders (the defaults).
+    One search seeded with the two sporadic graphs and the complements of
+    C5 and C7, less those that contain ``h`` (no graph of the class can
+    contain them).  A sporadic seed is critical itself, so the search emits
+    it.  Exhaustiveness of the seed set is guaranteed whenever P5 is in the
+    family; the three named companions additionally have known maximum
+    orders (the defaults).
     """
-    from .critical import is_k_vertex_critical
-
     family = (parse_pattern("p5"), h)
     if max_order is None:
         max_order = default_max_order_for(h)
         if max_order is None:
             raise ValueError(f"no default max_order for pattern {h.name!r}; pass one")
+    seeds = [g for g in sporadic_graphs() + seed_graphs() if is_family_free(g, family)]
     cfg = SearchConfig(k=5, family=family, max_order=max_order,
-                       seeds=tuple(seed_graphs()), pruning=pruning)
-    seen: set[bytes] = set()
-    out: list[Graph] = []
-    visited = 0
-    complete = True
-    for sp in sporadic_graphs():
-        if sp.n <= max_order and is_family_free(sp, family):
-            if is_k_vertex_critical(sp, 5).is_vertex_critical:
-                cf = canonical_form(sp)
-                if cf not in seen:
-                    seen.add(cf)
-                    out.append(sp)
-    for seed in cfg.seeds:
-        if seed.n > max_order or not is_family_free(seed, family):
-            continue
-        res = recursively_enumerate(cfg, seed, seen, out, jobs=jobs, progress=progress)
-        visited += res.nodes_visited
-        complete = complete and res.complete
-    ordered = sort_graphs(out)
-    counts = Counter(g.n for g in ordered)
-    return EnumerationResult(
-        graphs=ordered,
-        per_order_counts=dict(sorted(counts.items())),
-        nodes_visited=visited,
-        complete=complete,
-    )
+                       seeds=tuple(seeds), pruning=pruning)
+    return recursively_enumerate(cfg, jobs=jobs, progress=progress)
 
 
 def sort_graphs(graphs: list[Graph]) -> list[Graph]:

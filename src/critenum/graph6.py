@@ -14,7 +14,6 @@ bits are all rejected.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import MAX_ORDER, Graph, _graph
@@ -85,22 +84,6 @@ def decode_graph6(text: str) -> Graph:
     if need and body[-1] & ((1 << (6 * need - nbits)) - 1):
         raise Graph6Error("nonzero padding bits")
     return _graph(n, tuple(rows))
-
-
-@dataclass
-class GraphListFile:
-    """A graph6 list file: one graph per line, newline terminated."""
-
-    path: str
-    graphs: list[Graph]
-
-    @classmethod
-    def load(cls, path: str) -> "GraphListFile":
-        graphs = read_graph6_file(path)
-        return cls(path=path, graphs=graphs)
-
-    def save(self) -> None:
-        write_graph6_file(self.path, self.graphs)
 
 
 def read_graph6_file(path: str) -> list[Graph]:

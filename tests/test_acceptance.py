@@ -18,7 +18,6 @@ from itertools import combinations
 import pytest
 
 from critenum import (
-    NO_PRUNING,
     Graph,
     all_graphs,
     canonical_form,
@@ -216,7 +215,7 @@ def test_criterion_4_in_class_critical_counts(enum9):
 def test_criterion_5_pruning_soundness(enum9):
     results = {}
     for name in H_NAMES:
-        off = enumerate_5vc(PATTERNS[name], max_order=9, pruning=NO_PRUNING)
+        off = enumerate_5vc(PATTERNS[name], max_order=9, pruning=False)
         on_set = {canonical_form(g) for g in enum9[name].graphs}
         off_set = {canonical_form(g) for g in off.graphs}
         results[name] = on_set == off_set

@@ -56,6 +56,32 @@ def test_enumerate_seed_file(tmp_path, capsys):
     assert out.read_text() == "D~{\n"
 
 
+def test_enumerate_seed_above_cap_skipped(tmp_path, capsys):
+    out = tmp_path / "out.g6"
+    code, _, err = run(
+        ["enumerate", "--k", "5", "--forbid", "p5", "--seed", "co(c9)",
+         "--max-order", "7", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert out.read_text() == ""
+    assert "wrote 0 graphs" in err
+
+
+def test_enumerate_empty_seed_file(tmp_path, capsys):
+    seeds = tmp_path / "empty.g6"
+    write_graph6_file(seeds, [])
+    out = tmp_path / "out.g6"
+    code, _, err = run(
+        ["enumerate", "--k", "5", "--forbid", "p5", "--seed", str(seeds),
+         "--max-order", "7", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert err.strip() == f"error: no seed graphs in {seeds}"
+    assert not out.exists()
+
+
 def test_enumerate_auto_validation(tmp_path, capsys):
     out = tmp_path / "x.g6"
     code, _, err = run(

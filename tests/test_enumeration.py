@@ -3,9 +3,6 @@ import random
 import pytest
 
 from critenum import (
-    NO_PRUNING,
-    ExpansionObligation,
-    PruningFlags,
     SearchConfig,
     all_graphs,
     are_isomorphic,
@@ -23,12 +20,11 @@ from critenum import (
     one_vertex_extensions,
     parse_pattern,
     path,
-    pruning_allows,
     recursively_enumerate,
     seed_graphs,
     sporadic_graphs,
 )
-from oracles import random_graph
+from oracles import permuted, random_graph
 
 P5 = parse_pattern("p5")
 H13 = parse_pattern("k1,3+p1")
@@ -52,18 +48,24 @@ def test_extension_order_is_ascending_masks():
 
 
 def test_seed_k5_outputs_itself():
-    cfg = SearchConfig(k=5, family=(P5, H13), max_order=6)
-    seen: set[bytes] = set()
-    out = []
-    res = recursively_enumerate(cfg, complete(5), seen, out)
-    assert len(out) == 1 and are_isomorphic(out[0], complete(5))
+    cfg = SearchConfig(k=5, family=(P5, H13), max_order=6, seeds=(complete(5),))
+    res = recursively_enumerate(cfg)
+    assert len(res.graphs) == 1 and are_isomorphic(res.graphs[0], complete(5))
     assert res.complete and res.per_order_counts == {5: 1}
 
 
 def test_seed_must_be_family_free():
-    cfg = SearchConfig(k=5, family=(P5,), max_order=7)
+    cfg = SearchConfig(k=5, family=(P5,), max_order=7, seeds=(path(6),))
     with pytest.raises(ValueError):
-        recursively_enumerate(cfg, path(6), set(), [])
+        recursively_enumerate(cfg)
+
+
+def test_seed_above_cap_skipped():
+    cfg = SearchConfig(k=5, family=(P5, H13), max_order=8,
+                       seeds=(complete(5), complement(cycle(9))))
+    res = recursively_enumerate(cfg)
+    assert [g.n for g in res.graphs] == [5]
+    assert res.nodes_visited == 1 and res.complete
 
 
 def test_counts_to_order_8():
@@ -113,34 +115,33 @@ def test_default_max_orders():
 def test_pruning_differential_small_cap():
     for h in (H13, HCO):
         on = enumerate_5vc(h, max_order=8)
-        off = enumerate_5vc(h, max_order=8, pruning=NO_PRUNING)
+        off = enumerate_5vc(h, max_order=8, pruning=False)
         assert {canonical_form(g) for g in on.graphs} == {canonical_form(g) for g in off.graphs}
         assert on.nodes_visited <= off.nodes_visited
 
 
-def test_pruning_allows_semantics():
+def test_obligation_filters_children():
     from critenum import add_vertex_with_neighborhood, complete_bipartite
+    from critenum.enumeration import _allowed_free_extensions
 
     host = complete_bipartite(1, 3)  # leaves are pairwise comparable
-    obligations = find_obligations(host, PruningFlags())
-    assert len(obligations) == 1
-    ob = obligations[0]
-    assert ob.x.bit_count() == 1 and ob.y.bit_count() == 1
-    u = ob.x.bit_length() - 1
-    v = ob.y.bit_length() - 1
+    ob = find_obligations(host)
+    assert ob is not None
+    x, y = ob
+    assert x.bit_count() == 1 and y.bit_count() == 1
+    u = x.bit_length() - 1
+    v = y.bit_length() - 1
     fixing = add_vertex_with_neighborhood(host, {u})
     breaking = add_vertex_with_neighborhood(host, {v})
-    neutral = add_vertex_with_neighborhood(host, 0)
-    assert pruning_allows(fixing, obligations)
-    assert not pruning_allows(breaking, obligations)
-    assert not pruning_allows(neutral, obligations)  # leaves the pair comparable
-    assert find_obligations(host, NO_PRUNING) == []
-    assert pruning_allows(breaking, [])
-
-
-def test_obligation_from_pair():
-    ob = ExpansionObligation.from_pair(2, 5)
-    assert ob.x == 4 and ob.y == 32
+    neutral = add_vertex_with_neighborhood(host, 0)  # leaves the pair comparable
+    family = (parse_pattern("k4"),)  # every one-vertex extension of K1,3 is K4-free
+    pruned = _allowed_free_extensions(host, SearchConfig(k=5, family=family, max_order=5))
+    assert fixing in pruned
+    assert breaking not in pruned and neutral not in pruned
+    assert all(c.rows[4] & x and y & ~c.rows[4] for c in pruned)
+    unpruned = _allowed_free_extensions(
+        host, SearchConfig(k=5, family=family, max_order=5, pruning=False))
+    assert unpruned == list(one_vertex_extensions(host))
 
 
 def test_determinism_across_runs_and_jobs():
@@ -152,15 +153,21 @@ def test_determinism_across_runs_and_jobs():
     assert r1.nodes_visited == r2.nodes_visited == r3.nodes_visited
 
 
-def test_shared_seen_set_across_seeds():
-    cfg = SearchConfig(k=5, family=(P5, HCO), max_order=7)
-    seen: set[bytes] = set()
-    out = []
-    first = recursively_enumerate(cfg, complement(cycle(5)), seen, out)
-    size_after_first = len(seen)
-    second = recursively_enumerate(cfg, complement(cycle(5)), seen, out)
-    assert second.nodes_visited == 0  # everything already enumerated
-    assert len(seen) == size_after_first
+def test_isomorphic_seeds_searched_once():
+    seed = complement(cycle(5))
+    relabelled = permuted(seed, [0, 3, 1, 4, 2])
+    assert seed != relabelled and are_isomorphic(seed, relabelled)
+    one = recursively_enumerate(SearchConfig(k=5, family=(P5, HCO), max_order=8, seeds=(seed,)))
+    two = recursively_enumerate(
+        SearchConfig(k=5, family=(P5, HCO), max_order=8, seeds=(seed, relabelled)))
+    assert two.nodes_visited == one.nodes_visited
+    assert [canonical_form(g) for g in two.graphs] == [canonical_form(g) for g in one.graphs]
+
+
+def test_nodes_visited_to_order_8():
+    # every distinct graph processed, the seed K5 included (co-C9 is above the cap)
+    for h, expected in [(H13, 231), (H14, 234), (HCO, 169)]:
+        assert enumerate_5vc(h, max_order=8).nodes_visited == expected
 
 
 def test_all_graphs_counts():
@@ -169,6 +176,6 @@ def test_all_graphs_counts():
 
 
 def test_truncation_reported():
-    cfg = SearchConfig(k=5, family=(P5, HCO), max_order=5)
-    res = recursively_enumerate(cfg, complement(cycle(5)), set(), [])
+    cfg = SearchConfig(k=5, family=(P5, HCO), max_order=5, seeds=(complement(cycle(5)),))
+    res = recursively_enumerate(cfg)
     assert not res.complete  # the seed itself is an open branch at the cap

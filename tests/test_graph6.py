@@ -4,7 +4,6 @@ import pytest
 
 from critenum import (
     Graph6Error,
-    GraphListFile,
     complete,
     cycle,
     decode_graph6,
@@ -74,10 +73,6 @@ def test_list_file_roundtrip(tmp_path):
     text = target.read_text()
     assert text == "@\nDhc\nD~{\nA_\n"
     assert read_graph6_file(target) == graphs
-    lf = GraphListFile.load(str(target))
-    assert lf.graphs == graphs
-    lf.save()
-    assert target.read_text() == text
 
 
 def test_list_file_error_names_line(tmp_path):
