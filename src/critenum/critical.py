@@ -35,11 +35,19 @@ def is_k_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     chi = chromatic_number(g)
     if chi != k:
         return CriticalityReport(chi, False, None)
-    order = sorted(range(g.n), key=lambda v: -g.rows[v].bit_count())
-    for v in order:
+    v = noncritical_vertex(g, k)
+    return CriticalityReport(chi, v is None, v)
+
+
+def noncritical_vertex(g: Graph, k: int) -> int | None:
+    """A vertex whose deletion keeps chi >= k, trying high degrees first, else None.
+
+    When chi(g) >= k, None means exactly that g is k-vertex-critical.
+    """
+    for v in sorted(range(g.n), key=lambda u: -g.rows[u].bit_count()):
         if is_k_colorable(delete_vertex(g, v), k - 1) is None:
-            return CriticalityReport(chi, False, v)
-    return CriticalityReport(chi, True, None)
+            return v
+    return None
 
 
 def find_comparable_pair(g: Graph) -> tuple[int, int] | None:

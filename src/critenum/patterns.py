@@ -12,6 +12,14 @@ Pattern grammar (case-insensitive, spaces ignored)::
 
 Containment is always *induced*: a pattern embeds only if edges and
 non-edges are both preserved.
+
+Freeness of one-vertex extensions is decided once per parent.  For a
+family-free g, a pattern P and one representative r of each automorphism
+orbit of P, every induced copy of P - r in g is a trace (C, A): its image C
+and the image A of N_P(r).  g plus a new vertex with neighborhood s is
+family-free iff s & C != A for every trace (:func:`forbidden_traces` says
+why); :func:`free_extension_masks` applies the traces to candidate
+neighborhoods.
 """
 
 from __future__ import annotations
@@ -22,10 +30,12 @@ from typing import Iterable, Union
 
 from .graphs import (
     Graph,
+    VertexSet,
     complement,
     complete,
     complete_bipartite,
     cycle,
+    delete_vertex,
     disjoint_union,
     path,
 )
@@ -311,3 +321,89 @@ def free_after_extension(host: Graph, family: Iterable[PatternLike], new_vertex:
             if _search(host, pg, role, new_vertex) is not None:
                 return False
     return True
+
+
+@lru_cache(maxsize=512)
+def _trace_plans(pg: Graph) -> tuple[tuple[Graph, VertexSet], ...]:
+    """P - r and N_P(r), renumbered as in P - r, for each orbit representative r."""
+    plans = []
+    for r in _anchor_roles(pg):
+        nbrs = pg.rows[r]
+        low = (1 << r) - 1
+        plans.append((delete_vertex(pg, r), (nbrs & low) | ((nbrs >> (r + 1)) << r)))
+    return tuple(plans)
+
+
+def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet,
+                    out: dict[VertexSet, set[VertexSet]]) -> None:
+    """Add (image, image of ``nbrs``) of every induced embedding of ``pg`` into ``host``."""
+    pn = pg.n
+    if pn > host.n:
+        return
+    if pn == 0:
+        out.setdefault(0, set()).add(0)
+        return
+    order, prev, degs = _match_plan(pg, None)
+    degmasks = _degree_masks(host, degs)
+    marked = [(nbrs >> v) & 1 for v in order]
+    hrows = host.rows
+    placed = [0] * pn  # host row of the vertex placed at each step
+    last = pn - 1
+
+    def dfs(s: int, used: int, a: int) -> None:
+        cand = degmasks[s] & ~used
+        for t, is_edge in prev[s]:
+            cand &= placed[t] if is_edge else ~placed[t]
+            if not cand:
+                return
+        mark = marked[s]
+        if s == last:
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                out.setdefault(used | b, set()).add(a | b if mark else a)
+            return
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            placed[s] = hrows[b.bit_length() - 1]
+            dfs(s + 1, used | b, a | b if mark else a)
+
+    dfs(0, 0, 0)
+
+
+def forbidden_traces(g: Graph, family: Iterable[PatternLike]) -> dict[VertexSet, set[VertexSet]]:
+    """Every forbidden trace of the family-free graph ``g``, as ``{C: {A, ...}}``.
+
+    For each pattern P and each orbit representative r of Aut(P), every
+    induced embedding of P - r into ``g`` gives the trace (C, A): C is its
+    image and A the image of N_P(r).  Adding a vertex v with neighborhood s
+    to ``g`` keeps it family-free iff ``s & C not in traces[C]`` for every
+    C.  This is exact, not a filter:
+
+    * ``g`` is family-free, so every copy of P in the extension uses v;
+    * an automorphism of P maps the role v plays to its orbit's
+      representative r, so v may be taken to play r;
+    * the rest of the copy is an induced copy of P - r with some image C,
+      and v extends it to an induced P exactly when ``s & C == A``.
+    """
+    out: dict[VertexSet, set[VertexSet]] = {}
+    for p in family:
+        for rest, nbrs in _trace_plans(_pattern_graph(p)):
+            _collect_traces(g, rest, nbrs, out)
+    return out
+
+
+def free_extension_masks(traces: dict[VertexSet, set[VertexSet]],
+                         masks: Iterable[VertexSet]) -> list[VertexSet]:
+    """The neighborhoods in ``masks`` that no trace of :func:`forbidden_traces` forbids."""
+    # Image sets that forbid the largest share of masks are tried first.
+    groups = sorted(traces.items(), key=lambda ca: -len(ca[1]) / (1 << ca[0].bit_count()))
+    allowed = []
+    for s in masks:
+        for c, forbidden in groups:
+            if s & c in forbidden:
+                break
+        else:
+            allowed.append(s)
+    return allowed

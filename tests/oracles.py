@@ -76,11 +76,19 @@ def naive_chromatic(g: Graph) -> int:
 
 
 def scan_induced(host: Graph, pattern: Graph) -> bool:
-    """Exhaustive check over all |pattern|-subsets and all their orderings."""
+    """Exhaustive check over all |pattern|-subsets and all their orderings.
+
+    Orderings are tried only for subsets whose induced degree sequence is
+    the pattern's, which no induced copy can fail.
+    """
     pn = pattern.n
     if pn > host.n:
         return False
+    pdegs = sorted(r.bit_count() for r in pattern.rows)
     for subset in itertools.combinations(range(host.n), pn):
+        inside = sum(1 << u for u in subset)
+        if sorted((host.rows[u] & inside).bit_count() for u in subset) != pdegs:
+            continue
         for perm in itertools.permutations(subset):
             if all(
                 pattern.has_edge(a, b) == host.has_edge(perm[a], perm[b])

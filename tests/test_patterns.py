@@ -3,6 +3,7 @@ import random
 import pytest
 
 from critenum import (
+    Graph,
     PatternSyntaxError,
     add_vertex_with_neighborhood,
     are_isomorphic,
@@ -19,6 +20,7 @@ from critenum import (
     parse_pattern,
     path,
 )
+from critenum.patterns import forbidden_traces, free_extension_masks
 from oracles import random_graph, scan_induced
 
 
@@ -119,6 +121,40 @@ def test_free_after_extension_differential():
         ext = add_vertex_with_neighborhood(g, rng.getrandbits(g.n))
         assert free_after_extension(ext, family, g.n) == is_family_free(ext, family)
         checked += 1
+
+
+def _random_free_graph(rng, n, family):
+    while True:
+        g = random_graph(rng, n, rng.random())
+        if is_family_free(g, family):
+            return g
+
+
+def test_forbidden_traces_differential():
+    rng = random.Random(53)
+    for name in ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)", "c5", "2p2"]:
+        family = [parse_pattern(name)]
+        for n in range(10):
+            g = _random_free_graph(rng, n, family)
+            allowed = set(free_extension_masks(forbidden_traces(g, family), range(1 << n)))
+            for s in range(1 << n):
+                child = add_vertex_with_neighborhood(g, s)
+                free = is_family_free(child, family)
+                assert (s in allowed) == free, (name, g, s)
+                assert free != scan_induced(child, family[0].graph), (name, g, s)
+
+
+def test_forbidden_traces_edge_cases():
+    rng = random.Random(59)
+    p1 = [parse_pattern("p1")]
+    # P1 - r is empty: its one trace (0, 0) forbids every extension
+    assert forbidden_traces(Graph(0, ()), p1) == {0: {0}}
+    assert free_extension_masks(forbidden_traces(Graph(0, ()), p1), [0]) == []
+    big = [parse_pattern("k1,4+p1")]  # 6 vertices
+    for n in range(5):
+        g = _random_free_graph(rng, n, big)
+        assert forbidden_traces(g, big) == {}
+        assert free_extension_masks({}, range(1 << n)) == list(range(1 << n))
 
 
 def test_pattern_graph_accepted_directly():
