@@ -52,15 +52,8 @@ def noncritical_vertex(g: Graph, k: int) -> int | None:
 
 def find_comparable_pair(g: Graph) -> tuple[int, int] | None:
     """A nonadjacent ordered pair (u, v) with N(u) subset of N(v), else None."""
-    rows = g.rows
-    for u in range(g.n):
-        ru = rows[u]
-        for v in range(g.n):
-            if v == u or (ru >> v) & 1:
-                continue
-            if ru & ~rows[v] == 0:
-                return (u, v)
-    return None
+    ob = find_xy_obstruction(g, 1)  # its (1, 1) stage tries u, then v, ascending
+    return None if ob is None else (ob[0].bit_length() - 1, ob[1].bit_length() - 1)
 
 
 def _chi_upto3(rows: Sequence[int], members: tuple[int, ...]) -> int:

@@ -31,6 +31,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_ORDER:
+        raise ValueError(f"order {n} outside 0..{MAX_ORDER}")
+
+
 def _as_mask(n: int, s: VertexSet | Iterable[int]) -> int:
     m = s if isinstance(s, int) else mask_of(s)
     if m < 0 or m >> n:
@@ -49,8 +54,7 @@ class Graph:
 
     def __init__(self, n: int, rows: Iterable[int]):
         rows = tuple(rows)
-        if not 0 <= n <= MAX_ORDER:
-            raise ValueError(f"order {n} outside 0..{MAX_ORDER}")
+        _check_order(n)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         for i, r in enumerate(rows):
@@ -122,6 +126,7 @@ def _graph(n: int, rows: tuple[int, ...]) -> Graph:
 
 
 def empty_graph(n: int = 0) -> Graph:
+    _check_order(n)
     return Graph(n, (0,) * n)
 
 
@@ -129,6 +134,7 @@ def path(t: int) -> Graph:
     """The path on ``t`` vertices with edges {i, i+1}."""
     if t < 1:
         raise ValueError("path needs at least one vertex")
+    _check_order(t)
     rows = [0] * t
     for i in range(t - 1):
         rows[i] |= 1 << (i + 1)
@@ -140,6 +146,7 @@ def cycle(t: int) -> Graph:
     """The cycle on ``t >= 3`` vertices."""
     if t < 3:
         raise ValueError("cycle needs at least three vertices")
+    _check_order(t)
     rows = [0] * t
     for i in range(t):
         j = (i + 1) % t
@@ -151,6 +158,7 @@ def cycle(t: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("negative order")
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << i) for i in range(n)))
 
@@ -158,6 +166,7 @@ def complete(n: int) -> Graph:
 def complete_bipartite(r: int, s: int) -> Graph:
     if r < 1 or s < 1:
         raise ValueError("both parts need at least one vertex")
+    _check_order(r + s)
     left = (1 << r) - 1
     right = ((1 << s) - 1) << r
     rows = [right] * r + [left] * s

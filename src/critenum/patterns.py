@@ -29,6 +29,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .graphs import (
+    MAX_ORDER,
     Graph,
     VertexSet,
     complement,
@@ -105,7 +106,8 @@ class _Parser:
                 self.error("multiplier must be positive")
         g = self.atom()
         out = g
-        for _ in range(mult - 1):
+        # More than MAX_ORDER + 1 copies add nothing (an empty atom) or overflow.
+        for _ in range(min(mult, MAX_ORDER + 1) - 1):
             out = self._union(out, g)
         return out
 
@@ -129,14 +131,17 @@ class _Parser:
             self.error("expected 'p', 'c', 'k' or 'co('")
         self.i += 1
         first = self.integer()
+        second = None
+        if ch == "k" and self.peek() == ",":
+            self.i += 1
+            second = self.integer()
         try:
             if ch == "p":
                 return path(first)
             if ch == "c":
                 return cycle(first)
-            if self.peek() == ",":
-                self.i += 1
-                return complete_bipartite(first, self.integer())
+            if second is not None:
+                return complete_bipartite(first, second)
             return complete(first)
         except ValueError as exc:
             self.i = start
@@ -147,7 +152,10 @@ def parse_pattern(text: str) -> Pattern:
     """Parse a DSL string into a named Pattern."""
     normalized = "".join(text.split()).lower()
     parser = _Parser(normalized)
-    g = parser.expr()
+    try:
+        g = parser.expr()
+    except RecursionError:
+        raise PatternSyntaxError("pattern nested too deeply", parser.i) from None
     if parser.i != len(normalized):
         parser.error("unexpected trailing input")
     if g.n < 1:
@@ -272,41 +280,16 @@ def is_family_free(host: Graph, family: Iterable[PatternLike]) -> bool:
 
 @lru_cache(maxsize=512)
 def _anchor_roles(pg: Graph) -> tuple[int, ...]:
-    """One pattern vertex per automorphism orbit."""
-    n = pg.n
-    rep = list(range(n))
+    """The least vertex of each automorphism orbit of the pattern.
 
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    degs = [r.bit_count() for r in pg.rows]
-    assigned = [-1] * n
-
-    def all_autos(s: int, used: int):
-        if s == n:
-            for v in range(n):
-                a, b = find(v), find(assigned[v])
-                if a != b:
-                    rep[max(a, b)] = min(a, b)
-            return
-        for h in range(n):
-            if (used >> h) & 1 or degs[h] != degs[s]:
-                continue
-            ok = True
-            for t in range(s):
-                if ((pg.rows[s] >> t) & 1) != ((pg.rows[h] >> assigned[t]) & 1):
-                    ok = False
-                    break
-            if ok:
-                assigned[s] = h
-                all_autos(s + 1, used | (1 << h))
-        assigned[s] = -1
-
-    all_autos(0, 0)
-    return tuple(sorted({find(v) for v in range(n)}))
+    An induced embedding of P into itself is an automorphism, so v lies in
+    the orbit of r exactly when the search anchored at r -> v succeeds.
+    """
+    roles: list[int] = []
+    for v in range(pg.n):
+        if all(_search(pg, pg, r, v) is None for r in roles):
+            roles.append(v)
+    return tuple(roles)
 
 
 def free_after_extension(host: Graph, family: Iterable[PatternLike], new_vertex: int) -> bool:

@@ -9,6 +9,7 @@ from critenum import (
     NotInClassError,
     add_vertex_with_neighborhood,
     bits,
+    canonical_form,
     certify_4_colorability,
     chromatic_number,
     complement,
@@ -17,12 +18,13 @@ from critenum import (
     delete_vertex,
     embedding_is_induced,
     enumerate_5vc,
+    find_induced,
     induced_subgraph,
     is_family_free,
     parse_pattern,
     path,
 )
-from oracles import random_graph
+from oracles import permuted, random_graph
 
 P5 = parse_pattern("p5")
 H13 = parse_pattern("k1,3+p1")
@@ -135,6 +137,50 @@ def test_random_colorable_certs(critical_list):
         assert cert.coloring.is_proper_for(g)
         done += 1
     assert done == 60
+
+
+def _non_colorable_hosts(rng, critical_list, count):
+    # a list member grown by up to three family-free vertices, relabelled
+    hosts = []
+    while len(hosts) < count:
+        g = rng.choice(critical_list)
+        for _ in range(rng.randint(0, 3)):
+            child = add_vertex_with_neighborhood(g, rng.getrandbits(g.n))
+            if is_family_free(child, FAMILY):
+                g = child
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        hosts.append(permuted(g, perm))
+    return hosts
+
+
+def test_shuffled_list_gives_least_order_witness(critical_list):
+    rng = random.Random(73)
+    shuffled = list(critical_list)
+    rng.shuffle(shuffled)
+    for host in _non_colorable_hosts(rng, critical_list, 30):
+        w = certify_4_colorability(host, shuffled, FAMILY).witness
+        assert w is not None
+        member = shuffled[w.list_index]
+        assert embedding_is_induced(host, member, w.embedding)
+        # scan oracle: nothing smaller embeds, nor anything of the same
+        # order earlier in the shuffled list
+        for i, h in enumerate(shuffled):
+            if h.n < member.n or (h.n == member.n and i < w.list_index):
+                assert find_induced(host, h) is None, (host, i)
+
+
+def test_critenum_list_keeps_canonical_scan_order(critical_list):
+    # enumerate_5vc writes its list in (order, canonical form) order, so the
+    # scan by order alone returns the same witness as the canonical order
+    canonical = sorted(range(len(critical_list)),
+                       key=lambda i: (critical_list[i].n, canonical_form(critical_list[i])))
+    assert canonical == list(range(len(critical_list)))
+    rng = random.Random(79)
+    for host in _non_colorable_hosts(rng, critical_list, 30):
+        w = certify_4_colorability(host, critical_list, FAMILY).witness
+        first = next(i for i in canonical if find_induced(host, critical_list[i]) is not None)
+        assert w.list_index == first
 
 
 def test_certificate_exactly_one_variant():

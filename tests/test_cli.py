@@ -234,3 +234,10 @@ def test_bad_pattern_and_missing_file(tmp_path, capsys):
         capsys,
     )
     assert code == 1 and "position" in err
+    deep = "co(" * 400 + "p1" + ")" * 400
+    code, _, err = run(
+        ["enumerate", "--k", "5", "--forbid", deep, "--seed", "auto", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1

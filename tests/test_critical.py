@@ -118,6 +118,13 @@ def test_xy_obstruction_against_brute_force():
                 x, y = ob
                 assert x and y and not x & y
                 assert 1 <= x.bit_count() <= cap and 1 <= y.bit_count() <= cap
+            if cap == 1:
+                pair = find_comparable_pair(g)
+                assert (pair is None) == (ob is None)
+                if pair is not None:
+                    u, v = pair
+                    assert u != v and not (g.rows[u] >> v) & 1
+                    assert g.rows[u] & ~g.rows[v] == 0
 
 
 def test_xy_obstruction_max_size_validated():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from critenum import (
     parse_pattern,
     path,
 )
-from critenum.patterns import forbidden_traces, free_extension_masks
+from critenum.patterns import _anchor_roles, forbidden_traces, free_extension_masks
 from oracles import random_graph, scan_induced
 
 
@@ -38,12 +39,24 @@ def test_parse_compositions():
     assert co.n == 5 and co.edge_count() == 7
     assert parse_pattern("2p1").graph.n == 2
     assert parse_pattern("CO( K3 + 2 P1 )").name == "co(k3+2p1)"
+    # copies of an empty atom add nothing, however many are asked for
+    assert parse_pattern("1000000000000k0+p1").graph == path(1)
 
 
 def test_parse_errors_carry_position():
-    for text in ["", "p", "q5", "k1,", "co(p5", "p5+", "p5)", "c2", "p0", "0p1", "co(p70)"]:
-        with pytest.raises(PatternSyntaxError):
+    deep = "co(" * 400 + "p1" + ")" * 400
+    for text in ["", "p", "q5", "k1,", "co(p5", "p5+", "p5)", "c2", "p0", "0p1", "co(p70)",
+                 "p1000000000000", "k1,1000000000000", deep]:
+        with pytest.raises(PatternSyntaxError) as info:
             parse_pattern(text)
+        assert str(info.value).count("(at position") == 1, text[:20]
+    with pytest.raises(PatternSyntaxError) as info:
+        parse_pattern("k1,")
+    assert info.value.position == 3
+    with pytest.raises(PatternSyntaxError, match="outside 0..64"):
+        parse_pattern("k1,1000000000000")
+    with pytest.raises(PatternSyntaxError, match="nested too deeply"):
+        parse_pattern(deep)
     try:
         parse_pattern("p5+q3")
     except PatternSyntaxError as exc:
@@ -155,6 +168,22 @@ def test_forbidden_traces_edge_cases():
         g = _random_free_graph(rng, n, big)
         assert forbidden_traces(g, big) == {}
         assert free_extension_masks({}, range(1 << n)) == list(range(1 << n))
+
+
+def _brute_orbit_minima(g):
+    edges = list(g.edges())
+    autos = [perm for perm in itertools.permutations(range(g.n))
+             if all((g.rows[perm[u]] >> perm[v]) & 1 for u, v in edges)]
+    return tuple(v for v in range(g.n) if min(perm[v] for perm in autos) == v)
+
+
+def test_anchor_roles_against_brute_force_orbits():
+    rng = random.Random(71)
+    graphs = [random_graph(rng, rng.randint(0, 6), rng.random()) for _ in range(150)]
+    graphs += [parse_pattern(name).graph
+               for name in ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)", "k5", "3p3"]]
+    for g in graphs:
+        assert _anchor_roles(g) == _brute_orbit_minima(g), g
 
 
 def test_pattern_graph_accepted_directly():
