@@ -1,11 +1,45 @@
 """Canonical labeling and isomorphism testing.
 
-The canonical form is computed by iterated degree refinement (color
-refinement to an equitable ordered partition) followed by backtracking over
-the orderings of the first non-singleton cell, keeping the lexicographically
-smallest relabeled adjacency encoding.  Automorphisms discovered along the
-way (two leaves with identical encodings) prune equivalent branches, which
-keeps highly symmetric graphs cheap.
+The canonical form is defined by an individualization-refinement tree:
+
+- :func:`_refine` refines an ordered partition of the vertices to an
+  equitable one.  Every step depends only on adjacency and on the order of
+  the cells, never on vertex names, so refinement is equivariant: for any
+  relabeling s, refining the relabeled partition of the relabeled graph
+  gives the relabeled result.
+- The root is the refinement of the one-cell partition.  The children of a
+  node are obtained by individualizing each vertex v of its first cell with
+  more than one vertex (the target cell: ``{v}`` is put in front of the rest
+  of the cell) and refining again.  The individualized vertices of a node
+  are its path.
+- A leaf is a partition into singletons, read as a vertex order.  Its code
+  is the tuple of adjacency rows of the graph relabeled by that order.
+
+The canonical form is the least leaf code of the full tree, codes compared
+as tuples of row integers.  Relabeling the graph relabels the tree and
+leaves the set of leaf codes as it is, so the form is an isomorphism
+invariant, and it is a graph isomorphic to the input.
+
+If an automorphism s fixes every vertex of a node's path, equivariance
+maps the node onto itself and the subtree below child v onto the subtree
+below child s(v), leaf for leaf with equal codes.  The search skips child
+v when that makes it a copy of a child already done (searched, or skipped
+as a copy itself), so every pruned subtree only repeats leaf codes that
+were already seen:
+
+- **Twins.**  If a done child u and v have equal neighborhoods apart from
+  each other, the transposition (u v) is an automorphism.  It fixes the
+  path, whose vertices are singletons and so neither u nor v.
+- **Stored automorphisms.**  Two leaves with equal codes give the
+  automorphism that maps one vertex order onto the other; v is skipped if a
+  stored one fixes the path and maps v onto a done child.
+- **Return on automorphism.**  Let a leaf at path p have the code of an
+  earlier leaf at path q, and let l be the first level where they differ.
+  The automorphism s taking the leaf of p to the leaf of q maps p onto q
+  (each individualized vertex sits at the start of its target cell in the
+  vertex order), so it fixes ``p[:l]`` and maps child ``p[l]`` onto child
+  ``q[l]`` of the same node, which is done since the search is depth
+  first.  The rest of the subtree below ``p[:l + 1]`` is skipped.
 
 The returned form is the graph6 encoding of the canonically relabeled
 graph, so it doubles as a ready-to-write output line and as the hash key
@@ -19,33 +53,68 @@ from .graphs import Graph, _graph
 
 CanonicalForm = bytes
 
-_AUTO_CAP = 200
-_LEAF_CAP = 300
 
+def _refine(rows, cells, masks, stale) -> None:
+    """Refine an ordered partition to equitability, in place.
 
-def _refined(rows, cells):
-    """Refine an ordered partition to equitability.
+    Each round splits the first cell whose vertices differ in their edge
+    counts into the cells of the partition.  The pieces replace it in
+    place, ordered by that count profile, and keep ascending vertex order.
+    Both choices are relabeling-invariant.
 
-    Cells split by the profile of edge counts into every current cell;
-    sub-cells are ordered by profile, vertices inside stay in ascending
-    index order.  Both choices are relabeling-invariant.
+    ``masks`` holds the vertex mask of each cell.  ``stale[i]`` is the union
+    of the cells that split since cell i was last found uniform, 0 if none.
+    It is a union of cells that cell i was uniform against, so the vertices
+    of cell i agree in their counts into every cell outside it and in their
+    count into all of it: their profiles differ, if at all, in the counts
+    into the cells inside it but the last, and sort in that order.
     """
-    cells = list(cells)
-    while True:
-        masks = [sum(1 << v for v in c) for c in cells]
-        for ci, cell in enumerate(cells):
-            if len(cell) == 1:
-                continue
-            groups: dict[tuple, list[int]] = {}
-            for v in cell:
-                rv = rows[v]
-                sig = tuple((rv & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) > 1:
-                cells[ci : ci + 1] = [groups[s] for s in sorted(groups)]
-                break
-        else:
-            return cells
+    ci = 0
+    while ci < len(cells):
+        cell = cells[ci]
+        stale_mask = stale[ci]
+        if not stale_mask or len(cell) == 1:
+            ci += 1
+            continue
+        stale[ci] = 0
+        # Two vertices of a cell count their own edge into it alike, so
+        # equal rows on the rest of the stale mask make their profiles equal.
+        if len(cell) == 2 and not (rows[cell[0]] ^ rows[cell[1]]) & stale_mask & ~masks[ci]:
+            ci += 1
+            continue
+        inside = [m for m in masks if m & stale_mask]
+        inside.pop()
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for v in cell:
+            rv = rows[v]
+            groups.setdefault(tuple([(rv & m).bit_count() for m in inside]), []).append(v)
+        if len(groups) == 1:
+            ci += 1
+            continue
+        pieces = [groups[p] for p in sorted(groups)]
+        split = masks[ci]
+        stale[:] = [s | split for s in stale]
+        cells[ci : ci + 1] = pieces
+        masks[ci : ci + 1] = [sum([1 << v for v in p]) for p in pieces]
+        stale[ci : ci + 1] = [split] * len(pieces)
+        ci = 0
+
+
+def _relabeled(rows, order) -> tuple[int, ...]:
+    """The adjacency rows relabeled so that ``order[i]`` becomes vertex i."""
+    bit = [0] * len(order)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    code = []
+    for v in order:
+        r = rows[v]
+        m = 0
+        while r:
+            b = r & -r
+            m |= bit[b.bit_length() - 1]
+            r ^= b
+        code.append(m)
+    return tuple(code)
 
 
 def _canonical_rows(g: Graph) -> tuple[int, ...]:
@@ -53,63 +122,86 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
     if n <= 1:
         return g.rows
     rows = g.rows
-    best: list[int] | None = None
-    autos: list[tuple[int, ...]] = []
-    leaf_seen: dict[tuple[int, ...], list[int]] = {}
+    best: tuple[int, ...] | None = None
+    autos: list[list[int]] = []
+    leaf_seen: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
 
-    def visit_leaf(cells):
+    def visit_leaf(cells, path) -> int:
+        """Record a leaf; return the level to abandon, or ``n`` for none."""
         nonlocal best
         perm = [c[0] for c in cells]
-        pos = [0] * n
-        for i, v in enumerate(perm):
-            pos[v] = i
-        new_rows = []
-        for i in range(n):
-            r = rows[perm[i]]
-            m = 0
-            while r:
-                b = r & -r
-                m |= 1 << pos[b.bit_length() - 1]
-                r ^= b
-            new_rows.append(m)
-        key = tuple(new_rows)
-        prev = leaf_seen.get(key)
-        if prev is None:
-            if len(leaf_seen) < _LEAF_CAP:
-                leaf_seen[key] = perm
-        elif len(autos) < _AUTO_CAP:
-            sigma = [0] * n
-            for i in range(n):
-                sigma[prev[i]] = perm[i]
-            autos.append(tuple(sigma))
-        if best is None or new_rows < best:
-            best = new_rows
+        code = _relabeled(rows, perm)
+        seen = leaf_seen.get(code)
+        if seen is None:
+            leaf_seen[code] = (perm, path)
+            if best is None or code < best:
+                best = code
+            return n
+        seen_perm, seen_path = seen
+        sigma = [0] * n
+        for v, w in zip(seen_perm, perm):
+            sigma[v] = w
+        autos.append(sigma)
+        level = 0
+        while path[level] == seen_path[level]:
+            level += 1
+        return level
 
-    def descend(cells, fixed):
+    def descend(cells, masks, path) -> int:
+        """Search below a node; return the level to abandon, or ``n``."""
         for ci, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
-            visit_leaf(cells)
-            return
-        processed: set[int] = set()
+            return visit_leaf(cells, path)
+        depth = len(path)
+        cmask = masks[ci]
+        done: list[int] = []
         for v in cell:
-            if processed:
-                skip = False
-                for sg in autos:
-                    if sg[v] in processed and all(sg[f] == f for f in fixed):
-                        skip = True
-                        break
-                if skip:
-                    continue
-            rest = [w for w in cell if w != v]
-            sub = cells[:ci] + [[v], rest] + cells[ci + 1 :]
-            descend(_refined(rows, sub), fixed + (v,))
-            processed.add(v)
+            rv = rows[v]
+            if done and (
+                any(not (rows[u] ^ rv) & ~(1 << u | 1 << v) for u in done)
+                or any(s[v] in done and all(s[f] == f for f in path) for s in autos)
+            ):
+                done.append(v)
+                continue
+            bit = 1 << v
+            sub_cells = cells[:ci] + [[v], [w for w in cell if w != v]] + cells[ci + 1 :]
+            sub_masks = masks[:ci] + [bit, cmask ^ bit] + masks[ci + 1 :]
+            # The first round of refinement after individualizing v in an
+            # equitable partition can only split by adjacency to v: it
+            # splits the first cell holding both neighbors and non-neighbors
+            # of v, non-neighbors first.
+            for xi, xm in enumerate(sub_masks):
+                adj = rv & xm
+                if adj and adj != xm:
+                    x = sub_cells[xi]
+                    sub_cells[xi : xi + 1] = [[u for u in x if not rv >> u & 1],
+                                              [u for u in x if rv >> u & 1]]
+                    sub_masks[xi : xi + 1] = [xm ^ adj, adj]
+                    # Cells up to the new pieces are uniform against all but
+                    # the split cell; later ones were not checked against
+                    # the individualized cell either.
+                    stale = [xm] * (xi + 2) + [cmask | xm] * (len(sub_cells) - xi - 2)
+                    _refine(rows, sub_cells, sub_masks, stale)
+                    break
+            back = descend(sub_cells, sub_masks, path + (v,))
+            if back < depth:
+                return back
+            done.append(v)
+        return n
 
-    descend(_refined(rows, [list(range(n))]), ())
+    # The first round on the one-cell partition splits it by degree; each
+    # degree class is then uniform against the whole vertex set.
+    degree_cells: dict[int, list[int]] = {}
+    for v in range(n):
+        degree_cells.setdefault(rows[v].bit_count(), []).append(v)
+    cells = [degree_cells[d] for d in sorted(degree_cells)]
+    masks = [sum([1 << v for v in c]) for c in cells]
+    _refine(rows, cells, masks, [(1 << n) - 1] * len(cells))
+    descend(cells, masks, ())
     assert best is not None
-    return tuple(best)
+    return best
 
 
 def canonical_graph(g: Graph) -> Graph:

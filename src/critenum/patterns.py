@@ -85,11 +85,15 @@ class _Parser:
 
     def integer(self) -> int:
         start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        while self.i < len(self.text) and self.text[self.i].isdecimal():
             self.i += 1
         if self.i == start:
             self.error("expected a number")
-        return int(self.text[start : self.i])
+        try:
+            return int(self.text[start : self.i])
+        except ValueError:  # more digits than int() converts
+            self.i = start
+            self.error("number too large")
 
     def expr(self) -> Graph:
         g = self.term()
@@ -100,7 +104,7 @@ class _Parser:
 
     def term(self) -> Graph:
         mult = 1
-        if self.peek().isdigit():
+        if self.peek().isdecimal():
             mult = self.integer()
             if mult < 1:
                 self.error("multiplier must be positive")

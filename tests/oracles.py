@@ -2,8 +2,9 @@
 
 Nothing here may call the code path it is used to check: isomorphism is a
 direct backtracking bijection search, chromatic numbers try raw color
-assignments, induced containment scans all vertex subsets, and in-class
-criticality enumerates every proper subgraph.
+assignments, induced containment scans all vertex subsets, in-class
+criticality enumerates every proper subgraph, and the canonical form
+explores every branch of the individualization-refinement tree.
 """
 
 from __future__ import annotations
@@ -32,6 +33,49 @@ def permuted(g: Graph, perm: list[int]) -> Graph:
             if (g.rows[i] >> j) & 1:
                 rows[perm[i]] |= 1 << perm[j]
     return Graph(g.n, rows)
+
+
+def full_tree_canonical_rows(g: Graph) -> tuple[int, ...]:
+    """Least leaf code of the whole individualization-refinement tree.
+
+    Refinement splits, round by round, the first cell whose vertices differ
+    in their edge counts into the cells, into pieces sorted by that count
+    profile; a node branches on every vertex of its first non-singleton
+    cell; a leaf's code is the rows relabeled by its vertex order.  No
+    branch is pruned, so the cost grows with the automorphism group.
+    """
+    n, rows = g.n, g.rows
+    if n <= 1:
+        return rows
+
+    def refined(cells):
+        while True:
+            masks = [sum(1 << v for v in cell) for cell in cells]
+            for ci, cell in enumerate(cells):
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for v in cell:
+                    profile = tuple(bin(rows[v] & m).count("1") for m in masks)
+                    groups.setdefault(profile, []).append(v)
+                if len(groups) > 1:
+                    cells = cells[:ci] + [groups[p] for p in sorted(groups)] + cells[ci + 1:]
+                    break
+            else:
+                return cells
+
+    def leaf_codes(cells):
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            order = [cell[0] for cell in cells]
+            position = {v: i for i, v in enumerate(order)}
+            yield tuple(sum(1 << position[u] for u in range(n) if (rows[v] >> u) & 1)
+                        for v in order)
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            yield from leaf_codes(refined(cells[:target] + [[v], rest] + cells[target + 1:]))
+
+    return min(leaf_codes(refined([list(range(n))])))
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

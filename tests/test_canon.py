@@ -1,8 +1,11 @@
+import hashlib
 import random
 from itertools import combinations
+from pathlib import Path
 
 from critenum import (
     Graph,
+    all_graphs,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -13,8 +16,44 @@ from critenum import (
     disjoint_union,
     graph_from_canonical_form,
     path,
+    read_graph6_file,
 )
-from oracles import brute_isomorphic, permuted, random_graph
+from oracles import brute_isomorphic, full_tree_canonical_rows, permuted, random_graph
+
+
+def _petersen():
+    return Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, 5 + i) for i in range(5)])
+
+
+def _hypercube(d):
+    return Graph.from_edges(1 << d, [(i, i ^ (1 << b)) for i in range(1 << d)
+                                     for b in range(d) if i < i ^ (1 << b)])
+
+
+def _paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(i, j) for i in range(q) for j in range(i + 1, q)
+                                if (j - i) % q in squares])
+
+
+def _twins(g, u, v):
+    return not (g.rows[u] ^ g.rows[v]) & ~(1 << u | 1 << v)
+
+
+def _twin_blowup(rng, base):
+    """Repeat each vertex of ``base`` 1-3 times as true or false twins, then shuffle."""
+    true_twins = [rng.random() < 0.5 for _ in range(base.n)]
+    copies = [v for v in range(base.n) for _ in range(rng.randint(1, 3))]
+    rows = [0] * len(copies)
+    for i, v in enumerate(copies):
+        for j, u in enumerate(copies):
+            if i != j and (true_twins[v] if u == v else base.has_edge(u, v)):
+                rows[i] |= 1 << j
+    perm = list(range(len(copies)))
+    rng.shuffle(perm)
+    return permuted(Graph(len(copies), rows), perm)
 
 
 def _all_labeled(n):
@@ -83,10 +122,33 @@ def test_decode_is_fixed_point():
 
 def test_highly_symmetric_graphs():
     for g in [complete(8), complement(complete(8)), complete_bipartite(4, 4),
-              cycle(8), disjoint_union(cycle(5), cycle(5))]:
+              cycle(8), disjoint_union(cycle(5), cycle(5)), _petersen(), _hypercube(4),
+              _paley(13)]:
         perm = list(range(g.n))
         random.Random(9).shuffle(perm)
         assert canonical_form(g) == canonical_form(permuted(g, perm))
+
+
+def test_pruned_search_matches_full_tree():
+    # The automorphism pruning may only skip leaves whose codes it has
+    # already seen, so the least leaf code must equal the unpruned one.
+    rng = random.Random(11)
+    graphs = [random_graph(rng, rng.randint(0, 9), rng.choice([0.2, 0.4, 0.6, 0.8]))
+              for _ in range(300)]
+    while len(graphs) < 360:
+        # Twin-free bases keep each twin class to one base vertex, so the
+        # unpruned tree stays small enough to walk.
+        base = random_graph(rng, rng.randint(4, 5), 0.5)
+        if not any(_twins(base, u, v) for u, v in combinations(range(base.n), 2)):
+            blown = _twin_blowup(rng, base)
+            if blown.n <= 9:
+                graphs.append(blown)
+    three_c4 = disjoint_union(cycle(4), disjoint_union(cycle(4), cycle(4)))
+    c5_k3_k2 = disjoint_union(cycle(5), disjoint_union(complete(3), complete(2)))
+    graphs += [complete(6), complete_bipartite(3, 3), three_c4, _petersen(), _hypercube(3),
+               complement(cycle(9)), c5_k3_k2]
+    for g in graphs:
+        assert graph_from_canonical_form(canonical_form(g)).rows == full_tree_canonical_rows(g)
 
 
 def test_are_isomorphic_examples():
@@ -94,6 +156,25 @@ def test_are_isomorphic_examples():
     claw_p1 = disjoint_union(complete_bipartite(1, 3), path(1))
     p4_p1 = disjoint_union(path(4), path(1))
     assert not are_isomorphic(claw_p1, p4_p1)
+
+
+def test_forms_of_all_graphs_to_order_7_are_pinned():
+    # Canonical form bytes fix the output order of enumeration and the scan
+    # order of certification, so any change to them must be deliberate.
+    digest = hashlib.sha256()
+    levels = all_graphs(7)
+    for n in sorted(levels):
+        for g in levels[n]:
+            digest.update(canonical_form(g) + b"\n")
+    assert sum(len(level) for level in levels.values()) == 1252
+    assert digest.hexdigest() == "4d106f768af9276f363b9267c88821478a2b4a7e684dd5eedbff13c6d7c3f808"
+
+
+def test_recorded_lists_are_in_form_order():
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    for name in ("k13p1-c10.g6", "cok32p1-c11.g6"):
+        keys = [(g.n, canonical_form(g)) for g in read_graph6_file(str(data / name))]
+        assert keys and all(a < b for a, b in zip(keys, keys[1:])), name
 
 
 def test_empty_and_tiny():

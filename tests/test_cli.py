@@ -235,9 +235,10 @@ def test_bad_pattern_and_missing_file(tmp_path, capsys):
     )
     assert code == 1 and "position" in err
     deep = "co(" * 400 + "p1" + ")" * 400
-    code, _, err = run(
-        ["enumerate", "--k", "5", "--forbid", deep, "--seed", "auto", "--out", str(out)],
-        capsys,
-    )
-    assert code == 1
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    for bad in [deep, "p" + "9" * 5000]:
+        code, _, err = run(
+            ["enumerate", "--k", "5", "--forbid", bad, "--seed", "auto", "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -46,7 +46,7 @@ def test_parse_compositions():
 def test_parse_errors_carry_position():
     deep = "co(" * 400 + "p1" + ")" * 400
     for text in ["", "p", "q5", "k1,", "co(p5", "p5+", "p5)", "c2", "p0", "0p1", "co(p70)",
-                 "p1000000000000", "k1,1000000000000", deep]:
+                 "p1000000000000", "k1,1000000000000", "p" + "9" * 5000, "p\u00b2", deep]:
         with pytest.raises(PatternSyntaxError) as info:
             parse_pattern(text)
         assert str(info.value).count("(at position") == 1, text[:20]
@@ -55,6 +55,11 @@ def test_parse_errors_carry_position():
     assert info.value.position == 3
     with pytest.raises(PatternSyntaxError, match="outside 0..64"):
         parse_pattern("k1,1000000000000")
+    with pytest.raises(PatternSyntaxError, match="number too large") as info:
+        parse_pattern("p" + "9" * 5000)
+    assert info.value.position == 1
+    with pytest.raises(PatternSyntaxError, match="expected a number"):
+        parse_pattern("p\u00b2")
     with pytest.raises(PatternSyntaxError, match="nested too deeply"):
         parse_pattern(deep)
     try:
