@@ -209,7 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="exhaustively generate k-vertex-critical graphs")
+    p = sub.add_parser(
+        "enumerate", help="exhaustively generate k-vertex-critical graphs",
+        description="Exhaustively generate k-vertex-critical family-free graphs.  The closing "
+                    "'nodes visited' count is the number of distinct graphs (one per "
+                    "isomorphism class) the search classified as critical, dead, truncated "
+                    "or expanded.  Unless --no-prune is given, children that properly "
+                    "contain K_k are never built, so they are not counted.")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--forbid", action="append", default=[], metavar="DSL",
                    help="forbidden induced pattern (repeatable)")

@@ -26,6 +26,19 @@ obstruction are skipped.  Every vertex-critical supergraph survives some
 addition order, so the output set is unchanged (the no-pruning run is the
 differential oracle for this).
 
+Pruning also never builds a child that contains K_k.  A new vertex whose
+neighborhood holds a (k-1)-clique of a parent with at least k vertices
+closes a K_k inside a child of at least k + 1 vertices.  Deleting a vertex
+outside that K_k keeps chi >= k, so the child is not critical, and the
+search would only classify it dead; no supergraph of it can be critical
+either.  The rule needs ``g.n >= k``: a parent of k - 1 vertices (K_{k-1}
+itself) has K_k as a child, and K_k is critical and must be emitted.  The
+rule joins the forbidden traces as the trace (C, C) of every (k-1)-clique C.
+It leaves the output bytes unchanged: containing K_k is an isomorphism
+invariant, so every copy of a dropped class is dropped, the children that
+remain keep their relative order, and each surviving class keeps the same
+first representative.  Only the count of nodes visited falls.
+
 One process pool serves the whole run, and results are merged in
 submission order, so output is byte-identical for any job count.
 """
@@ -116,12 +129,34 @@ def _process_node(g: Graph, cfg: SearchConfig):
 
 def _allowed_free_extensions(g: Graph, cfg: SearchConfig) -> list[Graph]:
     masks = range(1 << g.n)
-    ob = find_obligations(g) if cfg.pruning else None
-    if ob is not None:
-        x, y = ob
-        masks = [s for s in masks if s & x and y & ~s]
     traces = forbidden_traces(g, cfg.family)
+    if cfg.pruning:
+        ob = find_obligations(g)
+        if ob is not None:
+            x, y = ob
+            masks = [s for s in masks if s & x and y & ~s]
+        if g.n >= cfg.k:  # a child on a (k-1)-clique properly contains K_k
+            for c in _cliques(g, cfg.k - 1):
+                traces.setdefault(c, set()).add(c)
     return [add_vertex_with_neighborhood(g, s) for s in free_extension_masks(traces, masks)]
+
+
+def _cliques(g: Graph, size: int) -> list[VertexSet]:
+    """Every clique of ``size`` vertices of ``g``, as a bitmask."""
+    rows = g.rows
+    out: list[VertexSet] = []
+
+    def grow(clique: VertexSet, cand: VertexSet, need: int) -> None:
+        if not need:
+            out.append(clique)
+            return
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            grow(clique | b, cand & rows[b.bit_length() - 1], need - 1)
+
+    grow(0, (1 << g.n) - 1, size)
+    return out
 
 
 def recursively_enumerate(

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Everything runs by
 default except criterion 3's full-enumeration tier: the first class takes
-around two minutes (gate with ``CRITENUM_FULL=1``), the other two exceed a
+about a minute (gate with ``CRITENUM_FULL=1``), the other two exceed a
 desk-scale budget by a wide margin, and the downgrade verification needs a
 user-supplied published list (point ``CRITENUM_PUBLISHED_LIST_K13P1`` /
 ``_K14P1`` / ``_CO_K3_2P1`` at a graph6 file).  The skip reasons and the
@@ -127,10 +127,10 @@ def test_criterion_2_capped_enumeration_to_10(enum10):
 def test_criterion_3_full_enumeration_k13p1(name):
     if not os.environ.get("CRITENUM_FULL"):
         pytest.skip(
-            "full tier gated behind CRITENUM_FULL=1 (~2 min). Known outcome: all "
+            "full tier gated behind CRITENUM_FULL=1 (~1 min). Known outcome: all "
             "344 graphs and every per-order count reproduce exactly, but "
             "complete=False - the scoped pruning rules (comparable pair, "
-            "|X|,|Y|<=2 obstruction) cannot close the search the way the "
+            "|X|,|Y|<=2 obstruction, no child containing K5) cannot close the search the way the "
             "original tooling's larger rule suite does; see the run report in "
             "the README and the decisions ledger."
         )

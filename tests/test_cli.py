@@ -1,4 +1,17 @@
-from critenum import complete, cycle, decode_graph6, encode_graph6, path, write_graph6_file
+import re
+
+from critenum import (
+    Graph,
+    chromatic_number,
+    complete,
+    cycle,
+    decode_graph6,
+    delete_vertex,
+    disjoint_union,
+    encode_graph6,
+    path,
+    write_graph6_file,
+)
 from critenum.cli import main
 
 
@@ -125,6 +138,23 @@ def test_verify_flags_failures(tmp_path, capsys):
     code, _, err = run(["verify", "--k", "5", "--forbid", "p5", str(bad)], capsys)
     assert code == 1
     assert "line 2" in err
+
+
+def test_verify_names_a_deletable_vertex(tmp_path, capsys):
+    k6_minus_edge = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                                         if (u, v) != (0, 5)])
+    k5_pendant = Graph.from_edges(6, [(u, v) for u in range(5) for v in range(u + 1, 5)]
+                                  + [(5, 2)])
+    graphs = [complete(5), k6_minus_edge, k5_pendant, disjoint_union(complete(5), complete(2))]
+    bad = tmp_path / "noncritical.g6"
+    write_graph6_file(bad, graphs)
+    code, _, err = run(["verify", "--k", "5", "--forbid", "p5", str(bad)], capsys)
+    assert code == 1
+    named = re.findall(r"line (\d+): not 5-vertex-critical "
+                       r"\(deleting vertex (\d+) keeps chi >= 5\)", err)
+    assert [int(line) for line, _ in named] == [2, 3, 4]
+    for line, v in named:
+        assert chromatic_number(delete_vertex(graphs[int(line) - 1], int(v))) >= 5
 
 
 def test_verify_edge_critical(tmp_path, capsys):

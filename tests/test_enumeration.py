@@ -1,12 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from critenum import (
     SearchConfig,
+    add_vertex_with_neighborhood,
     all_graphs,
     are_isomorphic,
     canonical_form,
+    chromatic_number,
+    clique_number,
     complement,
     complete,
     cycle,
@@ -15,7 +19,9 @@ from critenum import (
     find_comparable_pair,
     find_obligations,
     find_xy_obstruction,
+    induced_subgraph,
     is_family_free,
+    is_k_colorable,
     is_k_vertex_critical,
     one_vertex_extensions,
     parse_pattern,
@@ -23,7 +29,10 @@ from critenum import (
     recursively_enumerate,
     seed_graphs,
     sporadic_graphs,
+    write_graph6_file,
 )
+from critenum.enumeration import _allowed_free_extensions
+from critenum.patterns import forbidden_traces, free_extension_masks
 from oracles import permuted, random_graph
 
 P5 = parse_pattern("p5")
@@ -121,8 +130,7 @@ def test_pruning_differential_small_cap():
 
 
 def test_obligation_filters_children():
-    from critenum import add_vertex_with_neighborhood, complete_bipartite
-    from critenum.enumeration import _allowed_free_extensions
+    from critenum import complete_bipartite
 
     host = complete_bipartite(1, 3)  # leaves are pairwise comparable
     ob = find_obligations(host)
@@ -168,6 +176,76 @@ def test_nodes_visited_to_order_8():
     # every distinct graph processed, the seed K5 included (co-C9 is above the cap)
     for h, expected in [(H13, 231), (H14, 234), (HCO, 169)]:
         assert enumerate_5vc(h, max_order=8).nodes_visited == expected
+
+
+def test_nodes_visited_to_order_9(tmp_path):
+    # children that contain K5 are not built; without that rule the search visits
+    # 215, 215 and 176 more nodes, all of them dead
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    for h, expected, recorded in [(H13, 1476, "k13p1-c10.g6"), (H14, 1551, None),
+                                  (HCO, 689, "cok32p1-c11.g6")]:
+        res = enumerate_5vc(h, max_order=9)
+        assert res.nodes_visited == expected
+        if recorded is not None:
+            out = tmp_path / recorded
+            write_graph6_file(out, res.graphs)
+            lines = (data / recorded).read_text().splitlines(keepends=True)
+            prefix = [line for line in lines if ord(line[0]) - 63 <= 9]
+            assert lines[:len(prefix)] == prefix  # the recorded lists are sorted by order
+            assert out.read_text() == "".join(prefix)
+
+
+def _random_parents(rng, family, k, count):
+    """Seeded random family-free (k-1)-colourable graphs of order >= k with a K_{k-1}."""
+    found = []
+    while len(found) < count:
+        g = random_graph(rng, rng.randint(k, k + 3), rng.uniform(0.3, 0.8))
+        if (clique_number(g) >= k - 1 and is_family_free(g, family)
+                and is_k_colorable(g, k - 1) is not None):
+            found.append(g)
+    return found
+
+
+@pytest.mark.parametrize("k, family", [(5, (P5, H13)), (5, (P5, HCO)), (4, (P5,)), (3, (P5,))],
+                         ids=["k5-k1,3+p1", "k5-co(k3+2p1)", "k4-p5", "k3-p5"])
+def test_clique_rule_drops_only_dead_children(k, family):
+    rng = random.Random(20261018 + k)
+    cfg = SearchConfig(k=k, family=family, max_order=64)
+    dropped_total = 0
+    for g in _random_parents(rng, family, k, 12):
+        masks = range(1 << g.n)
+        ob = find_obligations(g)
+        if ob is not None:
+            x, y = ob
+            masks = [s for s in masks if s & x and y & ~s]
+        unfiltered = free_extension_masks(forbidden_traces(g, family), masks)
+        kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg)]
+        dropped = [s for s in unfiltered if clique_number(induced_subgraph(g, s)) >= k - 1]
+        assert kept == [s for s in unfiltered if s not in dropped]
+        for s in dropped:
+            child = add_vertex_with_neighborhood(g, s)
+            assert chromatic_number(child) >= k
+            assert not is_k_vertex_critical(child, k).is_vertex_critical
+        dropped_total += len(dropped)
+    assert dropped_total > 0
+
+
+def test_clique_rule_keeps_k5_from_k4_seed():
+    # a parent of k - 1 vertices: its child K_k is critical and must be emitted
+    cfg = SearchConfig(k=5, family=(P5, H13), max_order=5, seeds=(complete(4),))
+    res = recursively_enumerate(cfg)
+    assert [canonical_form(g) for g in res.graphs] == [canonical_form(complete(5))]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_clique_rule_small_k_matches_no_prune(k):
+    on = recursively_enumerate(SearchConfig(k=k, family=(P5,), max_order=7,
+                                            seeds=(complete(1),)))
+    off = recursively_enumerate(SearchConfig(k=k, family=(P5,), max_order=7,
+                                             seeds=(complete(1),), pruning=False))
+    assert [canonical_form(g) for g in on.graphs] == [canonical_form(g) for g in off.graphs]
+    assert on.per_order_counts == ({2: 1} if k == 2 else {3: 1, 5: 1})  # K2; K3 and C5
+    assert on.nodes_visited < off.nodes_visited
 
 
 def test_all_graphs_counts():
