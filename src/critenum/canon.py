@@ -41,9 +41,16 @@ were already seen:
   ``q[l]`` of the same node, which is done since the search is depth
   first.  The rest of the subtree below ``p[:l + 1]`` is skipped.
 
-The returned form is the graph6 encoding of the canonically relabeled
-graph, so it doubles as a ready-to-write output line and as the hash key
-for enumeration seen-sets.
+The search also returns the automorphisms it found: the stored leaf
+automorphisms and the twin transpositions it pruned on.  The enumeration
+uses them to skip children that are automorphic images of a sibling.
+
+:func:`canonical_form` is the graph6 encoding of the canonically relabeled
+graph, so it doubles as a ready-to-write output line.  The enumeration
+does not dedup on it: its key is :func:`canonical_key`, the canonical rows
+packed into one int, which needs no encoding and identifies a class among
+graphs of one order.  Only emitted graphs are encoded, from their key by
+:func:`form_of_key`.
 """
 
 from __future__ import annotations
@@ -117,13 +124,20 @@ def _relabeled(rows, order) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _canonical_rows(g: Graph) -> tuple[int, ...]:
+def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
+    """The canonical rows of ``g`` and the automorphisms the search found.
+
+    Each automorphism s is a ``bytes`` of length ``g.n`` with ``s[v]`` the
+    image of v: the stored leaf automorphisms and the twin transpositions
+    the search pruned on, each listed once.
+    """
     n = g.n
     if n <= 1:
-        return g.rows
+        return g.rows, []
     rows = g.rows
     best: tuple[int, ...] | None = None
-    autos: list[list[int]] = []
+    autos: list[bytes] = []
+    twins: set[tuple[int, int]] = set()
     leaf_seen: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
 
     def visit_leaf(cells, path) -> int:
@@ -141,7 +155,7 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
         sigma = [0] * n
         for v, w in zip(seen_perm, perm):
             sigma[v] = w
-        autos.append(sigma)
+        autos.append(bytes(sigma))
         level = 0
         while path[level] == seen_path[level]:
             level += 1
@@ -159,12 +173,14 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
         done: list[int] = []
         for v in cell:
             rv = rows[v]
-            if done and (
-                any(not (rows[u] ^ rv) & ~(1 << u | 1 << v) for u in done)
-                or any(s[v] in done and all(s[f] == f for f in path) for s in autos)
-            ):
-                done.append(v)
-                continue
+            if done:
+                twin = next((u for u in done if not (rows[u] ^ rv) & ~(1 << u | 1 << v)), None)
+                if twin is not None:
+                    twins.add((twin, v))
+                if twin is not None or any(s[v] in done and all(s[f] == f for f in path)
+                                           for s in autos):
+                    done.append(v)
+                    continue
             bit = 1 << v
             sub_cells = cells[:ci] + [[v], [w for w in cell if w != v]] + cells[ci + 1 :]
             sub_masks = masks[:ci] + [bit, cmask ^ bit] + masks[ci + 1 :]
@@ -201,17 +217,43 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
     _refine(rows, cells, masks, [(1 << n) - 1] * len(cells))
     descend(cells, masks, ())
     assert best is not None
-    return best
+    for u, v in twins:
+        swap = list(range(n))
+        swap[u], swap[v] = v, u
+        autos.append(bytes(swap))
+    return best, list(dict.fromkeys(autos))
 
 
 def canonical_graph(g: Graph) -> Graph:
     """A canonically labeled copy: identical for all isomorphic inputs."""
-    return _graph(g.n, _canonical_rows(g))
+    return _graph(g.n, _canonical_search(g)[0])
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Order-prefixed byte fingerprint of the isomorphism class of ``g``."""
     return encode_graph6(canonical_graph(g)).encode("ascii")
+
+
+def canonical_key(g: Graph) -> tuple[int, list[bytes]]:
+    """The canonical rows packed into one int, and the automorphisms found.
+
+    Row i takes bits ``i * n`` to ``i * n + n - 1``, so the key identifies
+    the class among graphs of one order only; :func:`form_of_key` turns it
+    into the canonical form.  The automorphisms are as in
+    :func:`_canonical_search`.
+    """
+    n = g.n
+    rows, autos = _canonical_search(g)
+    key = 0
+    for r in reversed(rows):
+        key = key << n | r
+    return key, autos
+
+
+def form_of_key(n: int, key: int) -> CanonicalForm:
+    """The canonical form of the order-``n`` class with :func:`canonical_key` ``key``."""
+    full = (1 << n) - 1
+    return encode_graph6(_graph(n, tuple(key >> (i * n) & full for i in range(n)))).encode("ascii")
 
 
 def graph_from_canonical_form(form: CanonicalForm) -> Graph:
@@ -222,4 +264,4 @@ def graph_from_canonical_form(form: CanonicalForm) -> Graph:
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
-    return _canonical_rows(g) == _canonical_rows(h)
+    return _canonical_search(g)[0] == _canonical_search(h)[0]

@@ -42,12 +42,17 @@ def is_k_vertex_critical(g: Graph, k: int) -> CriticalityReport:
 def noncritical_vertex(g: Graph, k: int) -> int | None:
     """A vertex whose deletion keeps chi >= k, trying low degrees first, else None.
 
-    When chi(g) >= k, None means exactly that g is k-vertex-critical.  A
-    vertex of degree below k - 1 can always be deleted without losing chi
-    >= k, so low degrees go first: on the non-critical graphs the
-    enumeration meets, the first vertex tried is usually the answer.
+    ``g`` must have chi >= k; then None means exactly that g is
+    k-vertex-critical.  A vertex of degree below k - 1 can always be
+    deleted: any (k-1)-coloring of g - v would extend to v.  So the first
+    vertex in degree order is returned untested when its degree is below
+    k - 1, and on the non-critical graphs the enumeration meets, the first
+    vertex tested is usually the answer.
     """
-    for v in sorted(range(g.n), key=lambda u: g.rows[u].bit_count()):
+    order = sorted(range(g.n), key=lambda u: g.rows[u].bit_count())
+    if order and g.rows[order[0]].bit_count() < k - 1:
+        return order[0]
+    for v in order:
         if is_k_colorable(delete_vertex(g, v), k - 1) is None:
             return v
     return None

@@ -8,9 +8,10 @@ non-critical chi >= k graph can be vertex-critical).
 
 One level-synchronous driver, :func:`recursively_enumerate`, runs the whole
 search.  Level n holds the children of level n - 1 followed by the seeds of
-order n.  A child always has one vertex more than its parent, so a
-canonical-form set per level removes every duplicate, whichever seed or
-path reached it, and each level's set is dropped once the level is done.
+order n.  A child always has one vertex more than its parent, so a set of
+canonical keys (:func:`canon.canonical_key`) per level removes every
+duplicate, whichever seed or path reached it, and each level's set is
+dropped once the level is done.
 
 Freeness of the children is decided per parent: one enumeration of the
 parent's forbidden traces (:func:`patterns.forbidden_traces`) turns the
@@ -39,6 +40,25 @@ invariant, so every copy of a dropped class is dropped, the children that
 remain keep their relative order, and each surviving class keeps the same
 first representative.  Only the count of nodes visited falls.
 
+A node's children are also deduplicated before they are built.  The
+canonical search that admitted the node found automorphisms of it, and
+they generate a group A of automorphisms of the parent.  Its allowed masks
+are walked in ascending order, and a mask is kept unless A maps an
+already kept mask onto it, so exactly the least allowed mask of each
+A-orbit is kept.  A mask s and its image a(s) give isomorphic children (a,
+extended to fix the new vertex, is an isomorphism), so every dropped
+child is a duplicate of a kept one.  The output bytes do not change: the
+first child of a class in level order comes from the first parent with an
+allowed child in that class, with the least such mask m of that parent.
+The allowed masks of the A-orbit of m all give children of that class, so
+none is below m, m is the least allowed mask of its orbit and is kept.
+Each level thus keeps the same first graph of every class in the same
+order, so ``nodes_visited``, ``complete`` and the emitted graphs are as
+without the step.  This holds for any allowed set, including the
+obligation filter, which is not invariant under A, and for any subgroup of
+the automorphism group.  It is deduplication, not pruning, and runs with
+``pruning=False`` too.
+
 One process pool serves the whole run, and results are merged in
 submission order, so output is byte-identical for any job count.
 """
@@ -50,7 +70,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
-from .canon import CanonicalForm, canonical_form
+from .canon import CanonicalForm, canonical_form, canonical_key, form_of_key
 from .coloring import is_k_colorable
 from .critical import find_xy_obstruction, noncritical_vertex
 from .graphs import (
@@ -118,16 +138,18 @@ _TRUNCATED = 2  # chi < k at the order cap: open branch
 _EXPAND = 3
 
 
-def _process_node(g: Graph, cfg: SearchConfig):
+def _process_node(node: tuple[Graph, list[bytes]], cfg: SearchConfig):
+    g, autos = node
     k = cfg.k
     if is_k_colorable(g, k - 1) is None:
         return (_OUT, None) if noncritical_vertex(g, k) is None else (_DEAD, None)
     if g.n >= cfg.max_order:
         return (_TRUNCATED, None)
-    return (_EXPAND, _allowed_free_extensions(g, cfg))
+    return (_EXPAND, _allowed_free_extensions(g, cfg, autos))
 
 
-def _allowed_free_extensions(g: Graph, cfg: SearchConfig) -> list[Graph]:
+def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes]) -> list[Graph]:
+    """The children of ``g`` to search: allowed, and one per orbit of ``autos``."""
     masks = range(1 << g.n)
     traces = forbidden_traces(g, cfg.family)
     if cfg.pruning:
@@ -138,7 +160,39 @@ def _allowed_free_extensions(g: Graph, cfg: SearchConfig) -> list[Graph]:
         if g.n >= cfg.k:  # a child on a (k-1)-clique properly contains K_k
             for c in _cliques(g, cfg.k - 1):
                 traces.setdefault(c, set()).add(c)
-    return [add_vertex_with_neighborhood(g, s) for s in free_extension_masks(traces, masks)]
+    allowed = free_extension_masks(traces, masks)
+    return [add_vertex_with_neighborhood(g, s) for s in _orbit_least(allowed, autos)]
+
+
+def _orbit_least(masks: list[VertexSet], autos: list[bytes]) -> list[VertexSet]:
+    """The least of the ascending ``masks`` in each orbit of the group ``autos`` generate.
+
+    A mask is dropped when some automorphism maps an already kept mask onto
+    it; the orbits are closed under the generators, so under the group.
+    """
+    if not autos:
+        return masks
+    kept: list[VertexSet] = []
+    seen: set[VertexSet] = set()
+    for s in masks:
+        if s in seen:
+            continue
+        kept.append(s)
+        seen.add(s)
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for a in autos:
+                image = 0
+                rest = t
+                while rest:
+                    b = rest & -rest
+                    image |= 1 << a[b.bit_length() - 1]
+                    rest ^= b
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return kept
 
 
 def _cliques(g: Graph, size: int) -> list[VertexSet]:
@@ -190,10 +244,11 @@ def recursively_enumerate(
 
         pool = multiprocessing.get_context("fork").Pool(jobs)
 
-    def map_level(fn, graphs):
+    def map_level(fn, items):
+        """``fn`` over ``items``, results in order as they arrive."""
         if pool is None:
-            return [fn(g) for g in graphs]
-        return pool.map(fn, graphs, max(1, len(graphs) // (jobs * 4)))
+            return map(fn, items)
+        return pool.imap(fn, items, max(1, len(items) // (jobs * 4)))
 
     try:
         frontier: list[Graph] = []
@@ -201,15 +256,16 @@ def recursively_enumerate(
             level = frontier + seeds_at.get(order, [])
             if not level:
                 continue
-            unique: dict[CanonicalForm, Graph] = {}  # first graph of each class
-            for g, cf in zip(level, map_level(canonical_form, level)):
-                unique.setdefault(cf, g)
+            # the first graph of each class, with the automorphisms its search found
+            unique: dict[int, tuple[Graph, list[bytes]]] = {}
+            for g, (key, autos) in zip(level, map_level(canonical_key, level)):
+                unique.setdefault(key, (g, autos))
             outcomes = map_level(partial(_process_node, cfg=cfg), list(unique.values()))
             visited += len(unique)
             frontier = []
-            for (cf, g), (kind, children) in zip(unique.items(), outcomes):
+            for (key, (g, _)), (kind, children) in zip(unique.items(), outcomes):
                 if kind == _OUT:
-                    emitted.append((g, cf))
+                    emitted.append((g, form_of_key(order, key)))
                 elif kind == _TRUNCATED:
                     truncated = True
                 elif kind == _EXPAND:

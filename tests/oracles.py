@@ -5,6 +5,7 @@ direct backtracking bijection search, chromatic numbers try raw color
 assignments, induced containment scans all vertex subsets, in-class
 criticality enumerates every proper subgraph, and the canonical form
 explores every branch of the individualization-refinement tree.
+Automorphisms are found by trying every permutation.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return extend(0, 0)
+
+
+def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of ``g`` as a tuple of images, by trying all n! permutations."""
+    return [p for p in itertools.permutations(range(g.n)) if permuted(g, list(p)) == g]
 
 
 def naive_chromatic(g: Graph) -> int:

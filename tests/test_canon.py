@@ -18,7 +18,14 @@ from critenum import (
     path,
     read_graph6_file,
 )
-from oracles import brute_isomorphic, full_tree_canonical_rows, permuted, random_graph
+from critenum.canon import canonical_key, form_of_key
+from oracles import (
+    brute_automorphisms,
+    brute_isomorphic,
+    full_tree_canonical_rows,
+    permuted,
+    random_graph,
+)
 
 
 def _petersen():
@@ -97,6 +104,7 @@ def test_labeled_class_counts_small():
     expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
     for n, count in expected.items():
         assert len({canonical_form(g) for g in _all_labeled(n)}) == count
+        assert len({canonical_key(g)[0] for g in _all_labeled(n)}) == count
 
 
 def test_permutation_invariance_random():
@@ -149,6 +157,40 @@ def test_pruned_search_matches_full_tree():
                complement(cycle(9)), c5_k3_k2]
     for g in graphs:
         assert graph_from_canonical_form(canonical_form(g)).rows == full_tree_canonical_rows(g)
+
+
+def _generated_group(n, autos):
+    """Every permutation the automorphisms ``autos`` generate, as image tuples."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for a in autos:
+            q = tuple(a[v] for v in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+def test_search_returns_automorphisms_and_key():
+    rng = random.Random(13)
+    graphs = [random_graph(rng, rng.randint(0, 10), rng.choice([0.2, 0.4, 0.5, 0.6, 0.8]))
+              for _ in range(300)]
+    graphs += [_twin_blowup(rng, random_graph(rng, rng.randint(3, 5), 0.5)) for _ in range(40)]
+    named = [(_petersen(), 120), (_hypercube(3), 48), (complement(cycle(9)), 18)]
+    for g in graphs + [g for g, _ in named]:
+        key, autos = canonical_key(g)
+        assert form_of_key(g.n, key) == canonical_form(g)
+        for a in autos:
+            assert sorted(a) == list(range(g.n)) and permuted(g, list(a)) == g
+    # here the automorphisms found generate the whole group; a smaller group
+    # would stay correct for the enumeration but leave duplicate children
+    for g, order in named:
+        assert len(_generated_group(g.n, canonical_key(g)[1])) == order
+    for g in graphs:
+        if g.n <= 6:
+            assert _generated_group(g.n, canonical_key(g)[1]) == set(brute_automorphisms(g))
 
 
 def test_are_isomorphic_examples():

@@ -9,6 +9,7 @@ from critenum import (
     complete,
     complete_bipartite,
     cycle,
+    delete_vertex,
     disjoint_union,
     find_comparable_pair,
     find_xy_obstruction,
@@ -21,6 +22,7 @@ from critenum import (
     path,
     set_neighborhood,
 )
+from critenum.critical import noncritical_vertex
 from oracles import naive_in_class_critical, random_graph
 
 
@@ -52,6 +54,25 @@ def test_report_consistency_random():
             from critenum import delete_vertex
 
             assert chromatic_number(delete_vertex(g, report.failing_vertex)) >= k
+
+
+def test_noncritical_vertex_matches_full_test():
+    # a vertex of degree below k - 1 is returned untested; it must be the vertex
+    # that testing every deletion in ascending degree order finds first
+    rng = random.Random(31)
+    graphs = [(complete(5), 5), (complement(cycle(9)), 5), (cycle(5), 3)]
+    while len(graphs) < 120:
+        k = rng.randint(3, 5)
+        g = random_graph(rng, rng.randint(k, k + 5), rng.uniform(0.3, 0.95))
+        if chromatic_number(g) >= k:
+            graphs.append((g, k))
+    untested = 0
+    for g, k in graphs:
+        order = sorted(range(g.n), key=lambda u: g.rows[u].bit_count())
+        full = next((v for v in order if chromatic_number(delete_vertex(g, v)) >= k), None)
+        assert noncritical_vertex(g, k) == full
+        untested += g.rows[order[0]].bit_count() < k - 1
+    assert 0 < untested < len(graphs)
 
 
 def test_critical_deletions_drop_chi_by_exactly_one():

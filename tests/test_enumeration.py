@@ -31,9 +31,11 @@ from critenum import (
     sporadic_graphs,
     write_graph6_file,
 )
+import critenum.enumeration
+from critenum.canon import canonical_key
 from critenum.enumeration import _allowed_free_extensions
 from critenum.patterns import forbidden_traces, free_extension_masks
-from oracles import permuted, random_graph
+from oracles import brute_automorphisms, permuted, random_graph
 
 P5 = parse_pattern("p5")
 H13 = parse_pattern("k1,3+p1")
@@ -143,12 +145,12 @@ def test_obligation_filters_children():
     breaking = add_vertex_with_neighborhood(host, {v})
     neutral = add_vertex_with_neighborhood(host, 0)  # leaves the pair comparable
     family = (parse_pattern("k4"),)  # every one-vertex extension of K1,3 is K4-free
-    pruned = _allowed_free_extensions(host, SearchConfig(k=5, family=family, max_order=5))
+    pruned = _allowed_free_extensions(host, SearchConfig(k=5, family=family, max_order=5), [])
     assert fixing in pruned
     assert breaking not in pruned and neutral not in pruned
     assert all(c.rows[4] & x and y & ~c.rows[4] for c in pruned)
     unpruned = _allowed_free_extensions(
-        host, SearchConfig(k=5, family=family, max_order=5, pruning=False))
+        host, SearchConfig(k=5, family=family, max_order=5, pruning=False), [])
     assert unpruned == list(one_vertex_extensions(host))
 
 
@@ -178,14 +180,27 @@ def test_nodes_visited_to_order_8():
         assert enumerate_5vc(h, max_order=8).nodes_visited == expected
 
 
-def test_nodes_visited_to_order_9(tmp_path):
+def test_nodes_visited_to_order_9(tmp_path, monkeypatch):
     # children that contain K5 are not built; without that rule the search visits
-    # 215, 215 and 176 more nodes, all of them dead
+    # 215, 215 and 176 more nodes, all of them dead.  Children that are automorphic
+    # images of a sibling are not built either; without that the dedup runs
+    # 4,100, 4,233 and 2,288 canonical searches.
+    searches = 0
+
+    def counted(g):
+        nonlocal searches
+        searches += 1
+        return canonical_key(g)
+
+    monkeypatch.setattr(critenum.enumeration, "canonical_key", counted)
     data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
-    for h, expected, recorded in [(H13, 1476, "k13p1-c10.g6"), (H14, 1551, None),
-                                  (HCO, 689, "cok32p1-c11.g6")]:
+    for h, expected, dedup, recorded in [(H13, 1476, 2696, "k13p1-c10.g6"),
+                                         (H14, 1551, 2779, None),
+                                         (HCO, 689, 1419, "cok32p1-c11.g6")]:
+        searches = 0
         res = enumerate_5vc(h, max_order=9)
         assert res.nodes_visited == expected
+        assert searches == dedup
         if recorded is not None:
             out = tmp_path / recorded
             write_graph6_file(out, res.graphs)
@@ -219,7 +234,7 @@ def test_clique_rule_drops_only_dead_children(k, family):
             x, y = ob
             masks = [s for s in masks if s & x and y & ~s]
         unfiltered = free_extension_masks(forbidden_traces(g, family), masks)
-        kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg)]
+        kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, [])]
         dropped = [s for s in unfiltered if clique_number(induced_subgraph(g, s)) >= k - 1]
         assert kept == [s for s in unfiltered if s not in dropped]
         for s in dropped:
@@ -246,6 +261,31 @@ def test_clique_rule_small_k_matches_no_prune(k):
     assert [canonical_form(g) for g in on.graphs] == [canonical_form(g) for g in off.graphs]
     assert on.per_order_counts == ({2: 1} if k == 2 else {3: 1, 5: 1})  # K2; K3 and C5
     assert on.nodes_visited < off.nodes_visited
+
+
+@pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-prune"])
+def test_children_one_per_automorphism_orbit(pruning):
+    # the kept masks are the least allowed mask of each orbit of Aut(parent),
+    # with the orbits taken from every permutation
+    rng = random.Random(20261019)
+    family = (P5, H13)
+    cfg = SearchConfig(k=5, family=family, max_order=64, pruning=pruning)
+    parents = [complement(cycle(5)), complement(cycle(7)), complete(4), cycle(5)]
+    while len(parents) < 24:
+        g = random_graph(rng, rng.randint(4, 7), rng.uniform(0.3, 0.9))
+        if is_family_free(g, family) and is_k_colorable(g, 4) is not None:
+            parents.append(g)
+    dropped = 0
+    for g in parents:
+        allowed = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, [])]
+        autos = brute_automorphisms(g)
+        orbits = [{sum(1 << a[v] for v in range(g.n) if s >> v & 1) for a in autos}
+                  for s in allowed]
+        least = [s for s, orbit in zip(allowed, orbits) if min(orbit & set(allowed)) == s]
+        kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, canonical_key(g)[1])]
+        assert kept == least
+        dropped += len(allowed) - len(kept)
+    assert dropped > 0
 
 
 def test_all_graphs_counts():
