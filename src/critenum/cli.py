@@ -20,8 +20,8 @@ from .certify import IncompleteListError, NotInClassError, certify_4_colorabilit
 from .coloring import chromatic_number
 from .critical import is_k_critical_in_class, is_k_vertex_critical
 from .enumeration import SearchConfig, default_max_order_for, enumerate_5vc, recursively_enumerate
-from .graph6 import Graph6Error, encode_graph6, read_graph6_file, write_graph6_file
-from .graphs import Graph, bits, induced_subgraph
+from .graph6 import Graph6Error, ascii_lines, encode_graph6, read_graph6_file, write_graph6_file
+from .graphs import MAX_ORDER, Graph, bits, induced_subgraph
 from .patterns import Pattern, is_family_free, parse_pattern
 
 
@@ -158,26 +158,35 @@ def cmd_stats(args) -> int:
 
 
 def _read_edge_blocks(path: str) -> list[Graph]:
+    """Blocks of 'n <order>' and one 'u v' line per edge, separated by blank lines."""
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        block: list[str] = []
-        for raw in list(fh) + [""]:
-            line = raw.strip()
-            if line:
-                block.append(line)
+    n = None
+    edges: list[tuple[int, int]] = []
+    for lineno, line in ascii_lines(path):
+        fields = line.split()
+        if not fields:  # a blank line closes the block
+            if n is not None:
+                graphs.append(Graph.from_edges(n, edges))
+            n, edges = None, []
+            continue
+        try:
+            if n is None:
+                if len(fields) != 2 or fields[0] != "n":
+                    raise ValueError("block must start with 'n <order>'")
+                n = int(fields[1])
+                if not 0 <= n <= MAX_ORDER:
+                    raise ValueError(f"order {n} outside 0..{MAX_ORDER}")
                 continue
-            if not block:
-                continue
-            head = block[0].split()
-            if len(head) != 2 or head[0] != "n":
-                raise ValueError(f"{path}: block must start with 'n <order>'")
-            n = int(head[1])
-            edges = []
-            for entry in block[1:]:
-                u, v = entry.split()
-                edges.append((int(u), int(v)))
-            graphs.append(Graph.from_edges(n, edges))
-            block = []
+            if len(fields) != 2:
+                raise ValueError(f"expected an edge 'u v', got {len(fields)} fields")
+            u, v = int(fields[0]), int(fields[1])
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise ValueError(f"edge ({u}, {v}) is not a pair of distinct vertices of 0..{n - 1}")
+            edges.append((u, v))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if n is not None:
+        graphs.append(Graph.from_edges(n, edges))
     return graphs
 
 

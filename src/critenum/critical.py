@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .canon import canonical_form
 from .coloring import chromatic_number, is_k_colorable
-from .graphs import Graph, VertexSet, delete_edge, delete_vertex
+from .graphs import Graph, VertexSet, bits, delete_edge, delete_vertex
 from .patterns import PatternLike, is_family_free
 
 
@@ -83,6 +83,16 @@ def find_xy_obstruction(g: Graph, max_size: int = 3) -> tuple[VertexSet, VertexS
     The conditions: X and Y anticomplete, chi(G[X]) <= chi(G[Y]), and Y
     complete to N(X).  Subset sizes are capped by ``max_size`` (at most 3);
     the (1, 1) case is exactly a comparable pair.
+
+    The first pair in this order is returned: stages by (|X| + |Y|, |X|),
+    then X, then Y, each in lexicographic order of the sorted vertex tuple.
+    The first two conditions and half of the third are per-vertex: y must
+    avoid X and N(X) and be adjacent to every vertex of N(X).  So for each
+    X the vertices that may go into Y form one candidate set, and the
+    lexicographic combinations of the candidates are exactly the
+    combinations of all vertices, in the same order, less those with a
+    vertex outside it.  Scanning only them and testing chromatic numbers
+    finds the same first pair.
     """
     if not 1 <= max_size <= 3:
         raise ValueError("max_size must be 1, 2 or 3")
@@ -93,27 +103,23 @@ def find_xy_obstruction(g: Graph, max_size: int = 3) -> tuple[VertexSet, VertexS
         ((sx, sy) for sx in range(1, max_size + 1) for sy in range(1, max_size + 1)),
         key=lambda p: (p[0] + p[1], p[0]),
     )
-    subsets = {
-        size: [(c, sum(1 << v for v in c)) for c in combinations(range(n), size)]
-        for size in range(1, max_size + 1)
-    }
     for sx, sy in stages:
-        for xs, xmask in subsets[sx]:
+        for xs in combinations(range(n), sx):
+            xmask = 0
             nx = 0
             for v in xs:
+                xmask |= 1 << v
                 nx |= rows[v]
             nx &= ~xmask
-            allowed = full & ~xmask & ~nx  # Y must avoid X and N(X): anticomplete
-            if not allowed:
+            cand = full & ~xmask & ~nx  # Y must avoid X and N(X): anticomplete
+            for u in bits(nx):  # and be complete to N(X)
+                cand &= rows[u]
+            if cand.bit_count() < sy:
                 continue
             chi_x = _chi_upto3(rows, xs)
-            for ys, ymask in subsets[sy]:
-                if ymask & ~allowed:
-                    continue
-                if chi_x > _chi_upto3(rows, ys):
-                    continue
-                if all(nx & ~rows[y] == 0 for y in ys):
-                    return (xmask, ymask)
+            for ys in combinations(bits(cand), sy):
+                if chi_x <= _chi_upto3(rows, ys):
+                    return (xmask, sum(1 << y for y in ys))
     return None
 
 

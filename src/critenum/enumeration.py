@@ -13,9 +13,15 @@ canonical keys (:func:`canon.canonical_key`) per level removes every
 duplicate, whichever seed or path reached it, and each level's set is
 dropped once the level is done.
 
-Freeness of the children is decided per parent: one enumeration of the
-parent's forbidden traces (:func:`patterns.forbidden_traces`) turns the
-test of each of the 2^n candidate neighborhoods into bitmask lookups.
+Freeness of the children is decided per parent, for all 2^n candidate
+neighborhoods at once.  One enumeration of the parent's forbidden traces
+(:func:`patterns.forbidden_traces`) gives each trace (C, A) the cube of
+neighborhoods s with ``s & C == A``.  :func:`patterns.free_extension_masks`
+holds a set of neighborhoods as an int of 2^n bits, bit s standing for s,
+so a cube is an AND of |C| per-vertex bitmaps ("s contains v", or its
+complement), the forbidden set is the OR of the cubes, and the obligation
+below is two ORs of the same bitmaps.  The allowed masks are the set bits
+of what remains, read in ascending order: the list the per-mask test gave.
 
 Pruning rests on one fact about any vertex-critical completion G of the
 working graph I: G contains no comparable vertices and, more generally, no
@@ -150,17 +156,14 @@ def _process_node(node: tuple[Graph, list[bytes]], cfg: SearchConfig):
 
 def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes]) -> list[Graph]:
     """The children of ``g`` to search: allowed, and one per orbit of ``autos``."""
-    masks = range(1 << g.n)
     traces = forbidden_traces(g, cfg.family)
+    ob = None
     if cfg.pruning:
         ob = find_obligations(g)
-        if ob is not None:
-            x, y = ob
-            masks = [s for s in masks if s & x and y & ~s]
         if g.n >= cfg.k:  # a child on a (k-1)-clique properly contains K_k
             for c in _cliques(g, cfg.k - 1):
                 traces.setdefault(c, set()).add(c)
-    allowed = free_extension_masks(traces, masks)
+    allowed = free_extension_masks(traces, g.n, ob)
     return [add_vertex_with_neighborhood(g, s) for s in _orbit_least(allowed, autos)]
 
 

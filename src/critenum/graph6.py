@@ -14,7 +14,7 @@ bits are all rejected.
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graphs import MAX_ORDER, Graph, _graph
 
@@ -86,16 +86,25 @@ def decode_graph6(text: str) -> Graph:
     return _graph(n, tuple(rows))
 
 
+def ascii_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    """The numbered lines of an ASCII text file; any other byte is an error naming its line."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.isascii():  # each byte above 0x7f was read as U+DC80 + (byte - 0x80)
+                byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                raise Graph6Error(f"{path}:{lineno}: non-ASCII byte 0x{byte:02x}")
+            yield lineno, line
+
+
 def read_graph6_file(path: str) -> list[Graph]:
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                graphs.append(decode_graph6(line))
-            except Graph6Error as exc:
-                raise Graph6Error(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in ascii_lines(path):
+        if not line.strip():
+            continue
+        try:
+            graphs.append(decode_graph6(line))
+        except Graph6Error as exc:
+            raise Graph6Error(f"{path}:{lineno}: {exc}") from None
     return graphs
 
 

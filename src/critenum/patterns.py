@@ -18,8 +18,10 @@ family-free g, a pattern P and one representative r of each automorphism
 orbit of P, every induced copy of P - r in g is a trace (C, A): its image C
 and the image A of N_P(r).  g plus a new vertex with neighborhood s is
 family-free iff s & C != A for every trace (:func:`forbidden_traces` says
-why); :func:`free_extension_masks` applies the traces to candidate
-neighborhoods.
+why).  Swapping two twins of P gives the same trace, so the embeddings
+are enumerated up to such swaps.
+:func:`free_extension_masks` applies the traces to all 2^n candidate
+neighborhoods at once, as bitmaps indexed by the neighborhood.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .graphs import (
     MAX_ORDER,
     Graph,
     VertexSet,
+    bits,
     complement,
     complete,
     complete_bipartite,
@@ -311,19 +314,37 @@ def free_after_extension(host: Graph, family: Iterable[PatternLike], new_vertex:
 
 
 @lru_cache(maxsize=512)
-def _trace_plans(pg: Graph) -> tuple[tuple[Graph, VertexSet], ...]:
-    """P - r and N_P(r), renumbered as in P - r, for each orbit representative r."""
+def _trace_plans(pg: Graph) -> tuple[tuple[Graph, VertexSet, tuple[int, ...]], ...]:
+    """P - r, N_P(r) and the twin steps, for each orbit representative r.
+
+    P - r is renumbered as in :func:`delete_vertex`.  The twin steps give,
+    for each step of its match order, the latest earlier step that places
+    a twin in P of the same vertex (see :func:`forbidden_traces`), or -1.
+    """
     plans = []
     for r in _anchor_roles(pg):
+        rest = delete_vertex(pg, r)
         nbrs = pg.rows[r]
-        low = (1 << r) - 1
-        plans.append((delete_vertex(pg, r), (nbrs & low) | ((nbrs >> (r + 1)) << r)))
+        nbrs = (nbrs & ((1 << r) - 1)) | ((nbrs >> (r + 1)) << r)
+        rows = rest.rows
+        order = _match_plan(rest, None)[0]
+        before = []
+        for s, u in enumerate(order):
+            twins = [t for t in range(s)
+                     if rows[u] & ~(1 << order[t]) == rows[order[t]] & ~(1 << u)
+                     and (nbrs >> u & 1) == (nbrs >> order[t] & 1)]
+            before.append(twins[-1] if twins else -1)
+        plans.append((rest, nbrs, tuple(before)))
     return tuple(plans)
 
 
-def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet,
+def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet, before: tuple[int, ...],
                     out: dict[VertexSet, set[VertexSet]]) -> None:
-    """Add (image, image of ``nbrs``) of every induced embedding of ``pg`` into ``host``."""
+    """Add the trace (image, image of ``nbrs``) of the induced embeddings of ``pg``.
+
+    Only the embeddings that map each step s to a host vertex above the one
+    of step ``before[s]`` are enumerated.
+    """
     pn = pg.n
     if pn > host.n:
         return
@@ -335,10 +356,14 @@ def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet,
     marked = [(nbrs >> v) & 1 for v in order]
     hrows = host.rows
     placed = [0] * pn  # host row of the vertex placed at each step
+    chosen = [0] * pn  # its bit
     last = pn - 1
 
     def dfs(s: int, used: int, a: int) -> None:
         cand = degmasks[s] & ~used
+        t = before[s]
+        if t >= 0:  # above the twin placed at step t
+            cand &= -(chosen[t] << 1)
         for t, is_edge in prev[s]:
             cand &= placed[t] if is_edge else ~placed[t]
             if not cand:
@@ -354,6 +379,7 @@ def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet,
             b = cand & -cand
             cand ^= b
             placed[s] = hrows[b.bit_length() - 1]
+            chosen[s] = b
             dfs(s + 1, used | b, a | b if mark else a)
 
     dfs(0, 0, 0)
@@ -373,24 +399,81 @@ def forbidden_traces(g: Graph, family: Iterable[PatternLike]) -> dict[VertexSet,
       representative r, so v may be taken to play r;
     * the rest of the copy is an induced copy of P - r with some image C,
       and v extends it to an induced P exactly when ``s & C == A``.
+
+    Not every embedding of P - r is enumerated.  Call u, w in P - r twins
+    when they are twins in P: N_P(u) - w = N_P(w) - u, so both are in
+    N_P(r) or both are not.  Then the swap (u w) is an automorphism of P
+    that fixes r, and an embedding f and f composed with (u w) have the
+    same image and the same image of N_P(r): the same trace.  Being twins
+    is an equivalence relation, and the swaps within its classes generate
+    every permutation of each class, so each embedding has an equivalent
+    one that maps each class to increasing host vertices, in the order the
+    search places them.  Only those are enumerated, and the traces are
+    the same sets.  For K_{1,3}+P1, K_{1,4}+P1 and co(K3+2P1) every trace
+    then comes from one embedding, against up to 6, 24 and 6 before.
     """
     out: dict[VertexSet, set[VertexSet]] = {}
     for p in family:
-        for rest, nbrs in _trace_plans(_pattern_graph(p)):
-            _collect_traces(g, rest, nbrs, out)
+        for rest, nbrs, before in _trace_plans(_pattern_graph(p)):
+            _collect_traces(g, rest, nbrs, before, out)
     return out
 
 
-def free_extension_masks(traces: dict[VertexSet, set[VertexSet]],
-                         masks: Iterable[VertexSet]) -> list[VertexSet]:
-    """The neighborhoods in ``masks`` that no trace of :func:`forbidden_traces` forbids."""
-    # Image sets that forbid the largest share of masks are tried first.
-    groups = sorted(traces.items(), key=lambda ca: -len(ca[1]) / (1 << ca[0].bit_count()))
-    allowed = []
-    for s in masks:
-        for c, forbidden in groups:
-            if s & c in forbidden:
-                break
-        else:
-            allowed.append(s)
-    return allowed
+@lru_cache(maxsize=1)
+def _vertex_bitmaps(n: int) -> tuple[tuple[int, int], ...]:
+    """``(~X_v, X_v)`` for every v < n, where bit s of X_v is set iff s contains v.
+
+    Indexed by whether s contains v.  Only the last order is kept: 2n ints
+    of 2^n bits, 22 MB at n = 22.
+    """
+    ones = (1 << (1 << n)) - 1
+    sides = []
+    for v in range(n):
+        half = 1 << v  # X_v repeats 2^v clear bits, then 2^v set bits
+        xv = ones // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+        sides.append((ones ^ xv, xv))
+    return tuple(sides)
+
+
+def free_extension_masks(traces: dict[VertexSet, set[VertexSet]], n: int,
+                         obligation: tuple[VertexSet, VertexSet] | None = None,
+                         ) -> list[VertexSet]:
+    """The neighborhoods s < 2^n that no trace of :func:`forbidden_traces` forbids, ascending.
+
+    With ``obligation = (x, y)`` only the s that meet x and miss part of y
+    are kept.  Sets of neighborhoods are ints whose bit s stands for s, and
+    X_v is the set of the s that contain v.  The trace (C, A) forbids the
+    cube of the s with ``s & C == A``: the AND over v in C of X_v when v is
+    in A, else of its complement.  The obligation keeps the OR of X_v over
+    x, ANDed with the OR of the complements over y.
+    """
+    sides = _vertex_bitmaps(n)
+    ones = (1 << (1 << n)) - 1
+    forbidden = 0
+    for c, images in traces.items():
+        members = []  # bits(c), inlined: this runs once per image set
+        while c:
+            b = c & -c
+            c ^= b
+            members.append(b.bit_length() - 1)
+        for a in images:
+            cube = ones
+            for v in members:
+                cube &= sides[v][a >> v & 1]
+            forbidden |= cube
+    allowed = ones ^ forbidden
+    if obligation is not None:
+        x, y = obligation
+        meet = miss = 0
+        for v in bits(x):
+            meet |= sides[v][1]
+        for v in bits(y):
+            miss |= sides[v][0]
+        allowed &= meet & miss
+    text = bin(allowed)[:1:-1]  # text[s] is bit s
+    out = []
+    s = text.find("1")
+    while s >= 0:
+        out.append(s)
+        s = text.find("1", s + 1)
+    return out

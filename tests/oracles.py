@@ -5,7 +5,9 @@ direct backtracking bijection search, chromatic numbers try raw color
 assignments, induced containment scans all vertex subsets, in-class
 criticality enumerates every proper subgraph, and the canonical form
 explores every branch of the individualization-refinement tree.
-Automorphisms are found by trying every permutation.
+Automorphisms are found by trying every permutation.  Forbidden traces come
+from every induced embedding of P - r for every vertex r, found by plain
+backtracking, and extension masks are filtered one mask at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from critenum import Graph, chromatic_number, induced_subgraph, is_family_free
+from critenum import Graph, chromatic_number, delete_vertex, induced_subgraph, is_family_free
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -192,3 +194,52 @@ def naive_in_class_critical(g: Graph, k: int, family) -> bool:
             if chromatic_number(cand) >= k and is_family_free(cand, family):
                 return False
     return True
+
+
+def brute_forbidden_traces(host: Graph, family) -> dict[int, set[int]]:
+    """``{C: {A, ...}}`` over every vertex r of every pattern P and every
+    induced embedding of P - r into ``host``: C its image, A the image of
+    N_P(r).  No orbit representatives and no symmetry breaking."""
+    out: dict[int, set[int]] = {}
+    for p in family:
+        pg = p.graph
+        for r in range(pg.n):
+            rest = delete_vertex(pg, r)
+            nbrs = [u if u < r else u + 1 for u in range(rest.n)]  # P - r vertex -> P vertex
+            for emb in _induced_embeddings(host, rest):
+                c = sum(1 << h for h in emb)
+                a = sum(1 << h for u, h in enumerate(emb) if pg.has_edge(r, nbrs[u]))
+                out.setdefault(c, set()).add(a)
+    return out
+
+
+def _induced_embeddings(host: Graph, pattern: Graph):
+    """Every injective map of pattern vertex u -> host vertex preserving edges and non-edges."""
+    image: list[int] = []
+
+    def extend():
+        u = len(image)
+        if u == pattern.n:
+            yield tuple(image)
+            return
+        for h in range(host.n):
+            if h in image:
+                continue
+            if all(pattern.has_edge(u, w) == host.has_edge(h, image[w]) for w in range(u)):
+                image.append(h)
+                yield from extend()
+                image.pop()
+
+    yield from extend()
+
+
+def scan_extension_masks(traces: dict[int, set[int]], n: int, obligation=None) -> list[int]:
+    """The s < 2^n, ascending, that meet x and miss part of y for ``obligation = (x, y)``
+    and have ``s & C`` outside ``traces[C]`` for every C: one mask at a time."""
+    allowed = []
+    for s in range(1 << n):
+        if obligation is not None and not (s & obligation[0] and obligation[1] & ~s):
+            continue
+        if all(s & c not in images for c, images in traces.items()):
+            allowed.append(s)
+    return allowed

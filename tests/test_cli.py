@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from critenum import (
     Graph,
     chromatic_number,
@@ -272,3 +274,34 @@ def test_bad_pattern_and_missing_file(tmp_path, capsys):
         )
         assert code == 1
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_non_ascii_graph6_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"D~{\n\xff\n")
+    code, _, err = run(["stats", str(bad)], capsys)
+    assert code == 1
+    assert err.strip() == f"error: {bad}:2: non-ASCII byte 0xff"
+    good = tmp_path / "good.g6"
+    write_graph6_file(good, [complete(5)])
+    code, _, err = run(["certify", "--forbid", "p5", "--list", str(bad), "--input", str(good)],
+                       capsys)
+    assert code == 4
+    assert err.strip() == f"error: {bad}:2: non-ASCII byte 0xff"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("n 3\n0 1\n0 1 2\n", 3, "expected an edge 'u v', got 3 fields"),
+    ("n 3\n1 x\n", 2, "invalid literal for int() with base 10: 'x'"),
+    ("n 2\n0 1\n\nn -1\n", 4, "order -1 outside 0..64"),
+    ("n 3\n2 3\n", 2, "edge (2, 3) is not a pair of distinct vertices of 0..2"),
+    ("0 1\n", 1, "block must start with 'n <order>'"),
+], ids=["three-fields", "not-an-integer", "negative-order", "vertex-out-of-range", "no-header"])
+def test_malformed_edge_list_names_file_and_line(tmp_path, capsys, text, line, message):
+    bad = tmp_path / "edges.txt"
+    bad.write_text(text)
+    out = tmp_path / "out.g6"
+    code, _, err = run(["convert", "--to", "graph6", str(bad), str(out)], capsys)
+    assert code == 1
+    assert err.strip() == f"error: {bad}:{line}: {message}"
+    assert not out.exists()

@@ -106,39 +106,40 @@ def test_comparable_pair_is_xy_singleton():
 
 
 def _brute_xy(g, max_size):
-    # literal scan of the three conditions over all small disjoint subsets
+    # literal scan of the three conditions over all small disjoint subsets, in the
+    # documented order: stages by (|X| + |Y|, |X|), then X, then Y, lexicographic
     n = g.n
-    for sx in range(1, max_size + 1):
-        for sy in range(1, max_size + 1):
-            for xs in combinations(range(n), sx):
-                for ys in combinations(range(n), sy):
-                    if set(xs) & set(ys):
-                        continue
-                    if any(g.has_edge(a, b) for a in xs for b in ys):
-                        continue
-                    cx = chromatic_number(induced_subgraph(g, mask_of(xs)))
-                    cy = chromatic_number(induced_subgraph(g, mask_of(ys)))
-                    if cx > cy:
-                        continue
-                    nx = set_neighborhood(g, mask_of(xs))
-                    if all(nx & ~g.rows[y] == 0 for y in ys):
-                        return True
-    return False
+    stages = sorted(((sx, sy) for sx in range(1, max_size + 1) for sy in range(1, max_size + 1)),
+                    key=lambda st: (st[0] + st[1], st[0]))
+    for sx, sy in stages:
+        for xs in combinations(range(n), sx):
+            for ys in combinations(range(n), sy):
+                if set(xs) & set(ys):
+                    continue
+                if any(g.has_edge(a, b) for a in xs for b in ys):
+                    continue
+                nx = set_neighborhood(g, mask_of(xs))
+                if not all(nx & ~g.rows[y] == 0 for y in ys):
+                    continue
+                cx = chromatic_number(induced_subgraph(g, mask_of(xs)))
+                cy = chromatic_number(induced_subgraph(g, mask_of(ys)))
+                if cx <= cy:
+                    return (mask_of(xs), mask_of(ys))
+    return None
 
 
 def test_xy_obstruction_against_brute_force():
+    # the exact first pair, which the enumeration's output bytes rest on
     assert find_xy_obstruction(cycle(5), 2) is None
-    assert not _brute_xy(cycle(5), 2)
+    assert _brute_xy(cycle(5), 2) is None
     rng = random.Random(53)
-    for _ in range(150):
-        g = random_graph(rng, rng.randint(1, 7), rng.random())
+    found = 0
+    for _ in range(1000):
+        g = random_graph(rng, rng.randint(1, 11), rng.random())
         for cap in (1, 2, 3):
             ob = find_xy_obstruction(g, cap)
-            assert (ob is not None) == _brute_xy(g, cap)
-            if ob is not None:
-                x, y = ob
-                assert x and y and not x & y
-                assert 1 <= x.bit_count() <= cap and 1 <= y.bit_count() <= cap
+            assert ob == _brute_xy(g, cap), (g, cap)
+            found += ob is not None
             if cap == 1:
                 pair = find_comparable_pair(g)
                 assert (pair is None) == (ob is None)
@@ -146,6 +147,7 @@ def test_xy_obstruction_against_brute_force():
                     u, v = pair
                     assert u != v and not (g.rows[u] >> v) & 1
                     assert g.rows[u] & ~g.rows[v] == 0
+    assert 1000 < found < 3000
 
 
 def test_xy_obstruction_max_size_validated():

@@ -228,12 +228,7 @@ def test_clique_rule_drops_only_dead_children(k, family):
     cfg = SearchConfig(k=k, family=family, max_order=64)
     dropped_total = 0
     for g in _random_parents(rng, family, k, 12):
-        masks = range(1 << g.n)
-        ob = find_obligations(g)
-        if ob is not None:
-            x, y = ob
-            masks = [s for s in masks if s & x and y & ~s]
-        unfiltered = free_extension_masks(forbidden_traces(g, family), masks)
+        unfiltered = free_extension_masks(forbidden_traces(g, family), g.n, find_obligations(g))
         kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, [])]
         dropped = [s for s in unfiltered if clique_number(induced_subgraph(g, s)) >= k - 1]
         assert kept == [s for s in unfiltered if s not in dropped]

@@ -22,7 +22,7 @@ from critenum import (
     path,
 )
 from critenum.patterns import _anchor_roles, forbidden_traces, free_extension_masks
-from oracles import random_graph, scan_induced
+from oracles import brute_forbidden_traces, random_graph, scan_extension_masks, scan_induced
 
 
 def test_parse_basic_atoms():
@@ -154,7 +154,7 @@ def test_forbidden_traces_differential():
         family = [parse_pattern(name)]
         for n in range(10):
             g = _random_free_graph(rng, n, family)
-            allowed = set(free_extension_masks(forbidden_traces(g, family), range(1 << n)))
+            allowed = set(free_extension_masks(forbidden_traces(g, family), n))
             for s in range(1 << n):
                 child = add_vertex_with_neighborhood(g, s)
                 free = is_family_free(child, family)
@@ -167,12 +167,40 @@ def test_forbidden_traces_edge_cases():
     p1 = [parse_pattern("p1")]
     # P1 - r is empty: its one trace (0, 0) forbids every extension
     assert forbidden_traces(Graph(0, ()), p1) == {0: {0}}
-    assert free_extension_masks(forbidden_traces(Graph(0, ()), p1), [0]) == []
+    assert free_extension_masks(forbidden_traces(Graph(0, ()), p1), 0) == []
     big = [parse_pattern("k1,4+p1")]  # 6 vertices
     for n in range(5):
         g = _random_free_graph(rng, n, big)
         assert forbidden_traces(g, big) == {}
-        assert free_extension_masks({}, range(1 << n)) == list(range(1 << n))
+        assert free_extension_masks({}, n) == list(range(1 << n))
+
+
+@pytest.mark.parametrize("name", ["k1,4+p1", "co(k3+2p1)", "c4", "k4", "2p2", "p5"])
+def test_forbidden_traces_equal_all_embeddings(name):
+    # one embedding per twin swap and one anchor per orbit lose no trace
+    rng = random.Random(20261020)
+    family = [parse_pattern(name)]
+    for _ in range(40):
+        g = _random_free_graph(rng, rng.randint(3, 10), family)
+        assert forbidden_traces(g, family) == brute_forbidden_traces(g, family), (name, g)
+
+
+def test_bitmap_filter_equals_per_mask_scan():
+    rng = random.Random(20261021)
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        traces = {}
+        for _ in range(rng.randint(0, 12)):
+            c = rng.getrandbits(n) if n else 0
+            traces.setdefault(c, set()).add(rng.getrandbits(n) & c if n else 0)
+        obligation = None
+        if n and rng.random() < 0.7:
+            obligation = (rng.randint(1, (1 << n) - 1), rng.randint(1, (1 << n) - 1))
+        assert (free_extension_masks(traces, n, obligation)
+                == scan_extension_masks(traces, n, obligation)), (n, traces, obligation)
+    assert free_extension_masks({}, 0) == [0] and free_extension_masks({0: {0}}, 1) == []
+    assert free_extension_masks({1: {1}}, 1) == [0]
+    assert free_extension_masks({}, 1, (1, 1)) == []  # s must meet and miss vertex 0
 
 
 def _brute_orbit_minima(g):
