@@ -10,8 +10,6 @@ from .canon import (
     CanonicalForm,
     are_isomorphic,
     canonical_form,
-    canonical_graph,
-    graph_from_canonical_form,
 )
 from .certify import (
     Certificate,

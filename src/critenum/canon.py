@@ -55,7 +55,7 @@ graphs of one order.  Only emitted graphs are encoded, from their key by
 
 from __future__ import annotations
 
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import encode_graph6
 from .graphs import Graph, _graph
 
 CanonicalForm = bytes
@@ -224,14 +224,9 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
     return best, list(dict.fromkeys(autos))
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """A canonically labeled copy: identical for all isomorphic inputs."""
-    return _graph(g.n, _canonical_search(g)[0])
-
-
 def canonical_form(g: Graph) -> CanonicalForm:
     """Order-prefixed byte fingerprint of the isomorphism class of ``g``."""
-    return encode_graph6(canonical_graph(g)).encode("ascii")
+    return encode_graph6(_graph(g.n, _canonical_search(g)[0])).encode("ascii")
 
 
 def canonical_key(g: Graph) -> tuple[int, list[bytes]]:
@@ -254,11 +249,6 @@ def form_of_key(n: int, key: int) -> CanonicalForm:
     """The canonical form of the order-``n`` class with :func:`canonical_key` ``key``."""
     full = (1 << n) - 1
     return encode_graph6(_graph(n, tuple(key >> (i * n) & full for i in range(n)))).encode("ascii")
-
-
-def graph_from_canonical_form(form: CanonicalForm) -> Graph:
-    """Decode a canonical form back to its representative graph."""
-    return decode_graph6(form.decode("ascii"))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from functools import partial
 
 from .canon import are_isomorphic
 from .certify import IncompleteListError, NotInClassError, certify_4_colorability
@@ -72,16 +73,15 @@ def cmd_enumerate(args) -> int:
     if args.seed == "auto":
         if args.k != 5:
             raise ValueError("--seed auto applies to --k 5 only")
-        h = _named_h(family)
-        result = enumerate_5vc(h, args.max_order, pruning=pruning, jobs=jobs,
-                               progress=progress)
+        search = partial(enumerate_5vc, _named_h(family), args.max_order, pruning=pruning)
     else:
         if args.max_order is None:
             raise ValueError("--max-order is required unless --seed auto names a known H")
-        cfg = SearchConfig(k=args.k, family=family, max_order=args.max_order,
-                           seeds=tuple(_seed_graphs(args.seed)), pruning=pruning)
-        result = recursively_enumerate(cfg, jobs=jobs, progress=progress)
-
+        search = partial(recursively_enumerate, SearchConfig(
+            k=args.k, family=family, max_order=args.max_order,
+            seeds=tuple(_seed_graphs(args.seed)), pruning=pruning))
+    open(args.out, "a").close()  # an unwritable --out fails here, not after the search
+    result = search(jobs=jobs, progress=progress)
     write_graph6_file(args.out, result.graphs)
     _p(f"wrote {len(result.graphs)} graphs to {args.out}")
     for n, c in result.per_order_counts.items():

@@ -13,15 +13,16 @@ canonical keys (:func:`canon.canonical_key`) per level removes every
 duplicate, whichever seed or path reached it, and each level's set is
 dropped once the level is done.
 
-Freeness of the children is decided per parent, for all 2^n candidate
-neighborhoods at once.  One enumeration of the parent's forbidden traces
-(:func:`patterns.forbidden_traces`) gives each trace (C, A) the cube of
-neighborhoods s with ``s & C == A``.  :func:`patterns.free_extension_masks`
+The children of a parent are filtered for all 2^n candidate neighborhoods
+at once, and every rule enters the filter the same way: as forbidden
+traces.  A trace (C, A) forbids the neighborhoods s with ``s & C == A``.
+Freeness gives the traces of :func:`patterns.forbidden_traces`; the two
+pruning rules below add theirs.  :func:`patterns.free_extension_masks`
 holds a set of neighborhoods as an int of 2^n bits, bit s standing for s,
-so a cube is an AND of |C| per-vertex bitmaps ("s contains v", or its
-complement), the forbidden set is the OR of the cubes, and the obligation
-below is two ORs of the same bitmaps.  The allowed masks are the set bits
-of what remains, read in ascending order: the list the per-mask test gave.
+so the cube a trace forbids is an AND of |C| per-vertex bitmaps ("s
+contains v", or its complement) and the forbidden set is the OR of the
+cubes.  The allowed masks are the set bits of what remains, read in
+ascending order: the list the per-mask test gave.
 
 Pruning rests on one fact about any vertex-critical completion G of the
 working graph I: G contains no comparable vertices and, more generally, no
@@ -29,9 +30,11 @@ disjoint nonempty X, Y that are anticomplete with chi(G[X]) <= chi(G[Y])
 and Y complete to N(X).  If I currently contains such a pair (X, Y), some
 future vertex must be adjacent to X while missing part of Y, and it may as
 well be the next one: extensions that do not repair the recorded
-obstruction are skipped.  Every vertex-critical supergraph survives some
-addition order, so the output set is unchanged (the no-pruning run is the
-differential oracle for this).
+obstruction are skipped.  "s meets X and misses part of Y" says exactly
+that s avoids the traces (X, 0) and (Y, Y), so the rule adds those two.
+Every vertex-critical supergraph survives some addition order, so the
+output set is unchanged (the no-pruning run is the differential oracle for
+this).
 
 Pruning also never builds a child that contains K_k.  A new vertex whose
 neighborhood holds a (k-1)-clique of a parent with at least k vertices
@@ -40,11 +43,16 @@ outside that K_k keeps chi >= k, so the child is not critical, and the
 search would only classify it dead; no supergraph of it can be critical
 either.  The rule needs ``g.n >= k``: a parent of k - 1 vertices (K_{k-1}
 itself) has K_k as a child, and K_k is critical and must be emitted.  The
-rule joins the forbidden traces as the trace (C, C) of every (k-1)-clique C.
-It leaves the output bytes unchanged: containing K_k is an isomorphism
-invariant, so every copy of a dropped class is dropped, the children that
-remain keep their relative order, and each surviving class keeps the same
-first representative.  Only the count of nodes visited falls.
+rule adds K_k to the family whose traces are taken: K_k minus a vertex is
+K_{k-1}, all of it adjacent to the removed vertex, so its traces are the
+(C, C) of every (k-1)-clique C, each found once since the vertices of K_k
+are twins.  The traces are exact only for a parent free of every pattern,
+K_k included, and that holds: only parents of chromatic number below k are
+expanded.  It leaves the output bytes unchanged: containing K_k is an
+isomorphism invariant, so every copy of a dropped class is dropped, the
+children that remain keep their relative order, and each surviving class
+keeps the same first representative.  Only the count of nodes visited
+falls.
 
 A node's children are also deduplicated before they are built.  The
 canonical search that admitted the node found automorphisms of it, and
@@ -156,14 +164,16 @@ def _process_node(node: tuple[Graph, list[bytes]], cfg: SearchConfig):
 
 def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes]) -> list[Graph]:
     """The children of ``g`` to search: allowed, and one per orbit of ``autos``."""
-    traces = forbidden_traces(g, cfg.family)
-    ob = None
-    if cfg.pruning:
-        ob = find_obligations(g)
-        if g.n >= cfg.k:  # a child on a (k-1)-clique properly contains K_k
-            for c in _cliques(g, cfg.k - 1):
-                traces.setdefault(c, set()).add(c)
-    allowed = free_extension_masks(traces, g.n, ob)
+    family = cfg.family
+    if cfg.pruning and g.n >= cfg.k:  # a child on a (k-1)-clique properly contains K_k
+        family += (complete(cfg.k),)
+    traces = forbidden_traces(g, family)
+    ob = find_obligations(g) if cfg.pruning else None
+    if ob is not None:  # the new vertex meets x: not (x, 0); it misses part of y: not (y, y)
+        x, y = ob
+        traces.setdefault(x, set()).add(0)
+        traces.setdefault(y, set()).add(y)
+    allowed = free_extension_masks(traces, g.n)
     return [add_vertex_with_neighborhood(g, s) for s in _orbit_least(allowed, autos)]
 
 
@@ -196,24 +206,6 @@ def _orbit_least(masks: list[VertexSet], autos: list[bytes]) -> list[VertexSet]:
                     seen.add(image)
                     stack.append(image)
     return kept
-
-
-def _cliques(g: Graph, size: int) -> list[VertexSet]:
-    """Every clique of ``size`` vertices of ``g``, as a bitmask."""
-    rows = g.rows
-    out: list[VertexSet] = []
-
-    def grow(clique: VertexSet, cand: VertexSet, need: int) -> None:
-        if not need:
-            out.append(clique)
-            return
-        while cand.bit_count() >= need:
-            b = cand & -cand
-            cand ^= b
-            grow(clique | b, cand & rows[b.bit_length() - 1], need - 1)
-
-    grow(0, (1 << g.n) - 1, size)
-    return out
 
 
 def recursively_enumerate(

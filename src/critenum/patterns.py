@@ -34,7 +34,6 @@ from .graphs import (
     MAX_ORDER,
     Graph,
     VertexSet,
-    bits,
     complement,
     complete,
     complete_bipartite,
@@ -351,8 +350,8 @@ def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet, before: tuple[int, 
     if pn == 0:
         out.setdefault(0, set()).add(0)
         return
-    order, prev, degs = _match_plan(pg, None)
-    degmasks = _degree_masks(host, degs)
+    order, prev, _ = _match_plan(pg, None)
+    free = (1 << host.n) - 1
     marked = [(nbrs >> v) & 1 for v in order]
     hrows = host.rows
     placed = [0] * pn  # host row of the vertex placed at each step
@@ -360,7 +359,7 @@ def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet, before: tuple[int, 
     last = pn - 1
 
     def dfs(s: int, used: int, a: int) -> None:
-        cand = degmasks[s] & ~used
+        cand = free ^ used
         t = before[s]
         if t >= 0:  # above the twin placed at step t
             cand &= -(chosen[t] << 1)
@@ -435,17 +434,13 @@ def _vertex_bitmaps(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sides)
 
 
-def free_extension_masks(traces: dict[VertexSet, set[VertexSet]], n: int,
-                         obligation: tuple[VertexSet, VertexSet] | None = None,
-                         ) -> list[VertexSet]:
-    """The neighborhoods s < 2^n that no trace of :func:`forbidden_traces` forbids, ascending.
+def free_extension_masks(traces: dict[VertexSet, set[VertexSet]], n: int) -> list[VertexSet]:
+    """The neighborhoods s < 2^n that no trace ``(C, A)`` forbids, ascending.
 
-    With ``obligation = (x, y)`` only the s that meet x and miss part of y
-    are kept.  Sets of neighborhoods are ints whose bit s stands for s, and
-    X_v is the set of the s that contain v.  The trace (C, A) forbids the
-    cube of the s with ``s & C == A``: the AND over v in C of X_v when v is
-    in A, else of its complement.  The obligation keeps the OR of X_v over
-    x, ANDed with the OR of the complements over y.
+    Sets of neighborhoods are ints whose bit s stands for s, and X_v is the
+    set of the s that contain v.  The trace (C, A) forbids the cube of the
+    s with ``s & C == A``: the AND over v in C of X_v when v is in A, else
+    of its complement.
     """
     sides = _vertex_bitmaps(n)
     ones = (1 << (1 << n)) - 1
@@ -461,16 +456,7 @@ def free_extension_masks(traces: dict[VertexSet, set[VertexSet]], n: int,
             for v in members:
                 cube &= sides[v][a >> v & 1]
             forbidden |= cube
-    allowed = ones ^ forbidden
-    if obligation is not None:
-        x, y = obligation
-        meet = miss = 0
-        for v in bits(x):
-            meet |= sides[v][1]
-        for v in bits(y):
-            miss |= sides[v][0]
-        allowed &= meet & miss
-    text = bin(allowed)[:1:-1]  # text[s] is bit s
+    text = bin(ones ^ forbidden)[:1:-1]  # text[s] is bit s
     out = []
     s = text.find("1")
     while s >= 0:

@@ -233,13 +233,8 @@ def _induced_embeddings(host: Graph, pattern: Graph):
     yield from extend()
 
 
-def scan_extension_masks(traces: dict[int, set[int]], n: int, obligation=None) -> list[int]:
-    """The s < 2^n, ascending, that meet x and miss part of y for ``obligation = (x, y)``
-    and have ``s & C`` outside ``traces[C]`` for every C: one mask at a time."""
-    allowed = []
-    for s in range(1 << n):
-        if obligation is not None and not (s & obligation[0] and obligation[1] & ~s):
-            continue
-        if all(s & c not in images for c, images in traces.items()):
-            allowed.append(s)
-    return allowed
+def scan_extension_masks(traces: dict[int, set[int]], n: int) -> list[int]:
+    """The s < 2^n, ascending, with ``s & C`` outside ``traces[C]`` for every C:
+    one mask at a time."""
+    return [s for s in range(1 << n)
+            if all(s & c not in images for c, images in traces.items())]

@@ -276,6 +276,19 @@ def test_bad_pattern_and_missing_file(tmp_path, capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_enumerate_unwritable_out_fails_before_search(tmp_path, capsys):
+    out = tmp_path / "missing" / "a.g6"
+    code, _, err = run(
+        ["enumerate", "--k", "3", "--forbid", "p5", "--seed", "p1", "--max-order", "5",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "expanding" not in err
+    assert not out.parent.exists()
+
+
 def test_non_ascii_graph6_names_file_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_bytes(b"D~{\n\xff\n")

@@ -210,6 +210,11 @@ def test_nodes_visited_to_order_9(tmp_path, monkeypatch):
             assert out.read_text() == "".join(prefix)
 
 
+def _repairs(s, ob):
+    """Whether the neighborhood ``s`` meets x and misses part of y, for ``ob = (x, y)``."""
+    return ob is None or bool(s & ob[0] and ob[1] & ~s)
+
+
 def _random_parents(rng, family, k, count):
     """Seeded random family-free (k-1)-colourable graphs of order >= k with a K_{k-1}."""
     found = []
@@ -228,7 +233,9 @@ def test_clique_rule_drops_only_dead_children(k, family):
     cfg = SearchConfig(k=k, family=family, max_order=64)
     dropped_total = 0
     for g in _random_parents(rng, family, k, 12):
-        unfiltered = free_extension_masks(forbidden_traces(g, family), g.n, find_obligations(g))
+        ob = find_obligations(g)
+        unfiltered = [s for s in free_extension_masks(forbidden_traces(g, family), g.n)
+                      if _repairs(s, ob)]
         kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, [])]
         dropped = [s for s in unfiltered if clique_number(induced_subgraph(g, s)) >= k - 1]
         assert kept == [s for s in unfiltered if s not in dropped]
@@ -256,6 +263,35 @@ def test_clique_rule_small_k_matches_no_prune(k):
     assert [canonical_form(g) for g in on.graphs] == [canonical_form(g) for g in off.graphs]
     assert on.per_order_counts == ({2: 1} if k == 2 else {3: 1, 5: 1})  # K2; K3 and C5
     assert on.nodes_visited < off.nodes_visited
+
+
+@pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-prune"])
+@pytest.mark.parametrize("k, family", [(5, (P5, H13)), (5, (P5, HCO)), (4, (P5,)), (3, (P5,))],
+                         ids=["k5-k1,3+p1", "k5-co(k3+2p1)", "k4-p5", "k3-p5"])
+def test_child_filter_against_per_child_oracle(k, family, pruning):
+    # every rule reaches the filter as traces; each child is checked on its own here
+    rng = random.Random(20261022 + k)
+    cfg = SearchConfig(k=k, family=family, max_order=64, pruning=pruning)
+    parents = [complete(k - 1)]
+    while len(parents) < 16:
+        g = random_graph(rng, rng.randint(1, k + 3), rng.uniform(0.2, 0.8))
+        if is_family_free(g, family) and is_k_colorable(g, k - 1) is not None:
+            parents.append(g)
+    for g in parents:
+        ob = find_obligations(g)
+        expected = []
+        for s in range(1 << g.n):
+            child = add_vertex_with_neighborhood(g, s)
+            if not is_family_free(child, family):
+                continue
+            if pruning and ((g.n >= k and clique_number(child) >= k) or not _repairs(s, ob)):
+                continue
+            expected.append(s)
+        kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, [])]
+        assert kept == expected, (g, ob)
+    if pruning:  # the parents exercise each rule
+        assert any(find_obligations(g) for g in parents)
+        assert any(g.n >= k and clique_number(g) == k - 1 for g in parents)
 
 
 @pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-prune"])

@@ -193,14 +193,18 @@ def test_bitmap_filter_equals_per_mask_scan():
         for _ in range(rng.randint(0, 12)):
             c = rng.getrandbits(n) if n else 0
             traces.setdefault(c, set()).add(rng.getrandbits(n) & c if n else 0)
-        obligation = None
+        allowed = scan_extension_masks(traces, n)
         if n and rng.random() < 0.7:
-            obligation = (rng.randint(1, (1 << n) - 1), rng.randint(1, (1 << n) - 1))
-        assert (free_extension_masks(traces, n, obligation)
-                == scan_extension_masks(traces, n, obligation)), (n, traces, obligation)
+            # an obligation (x, y) as traces: s meets x (not (x, 0)), misses part of y (not (y, y))
+            x, y = rng.randint(1, (1 << n) - 1), rng.randint(1, (1 << n) - 1)
+            traces.setdefault(x, set()).add(0)
+            traces.setdefault(y, set()).add(y)
+            allowed = [s for s in allowed if s & x and y & ~s]
+            assert scan_extension_masks(traces, n) == allowed, (n, traces, x, y)
+        assert free_extension_masks(traces, n) == allowed, (n, traces)
     assert free_extension_masks({}, 0) == [0] and free_extension_masks({0: {0}}, 1) == []
     assert free_extension_masks({1: {1}}, 1) == [0]
-    assert free_extension_masks({}, 1, (1, 1)) == []  # s must meet and miss vertex 0
+    assert free_extension_masks({1: {0, 1}}, 1) == []  # s must meet and miss vertex 0
 
 
 def _brute_orbit_minima(g):
