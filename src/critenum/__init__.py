@@ -18,7 +18,7 @@ from .certify import (
     NotInClassError,
     certify_4_colorability,
 )
-from .coloring import Coloring, chromatic_number, clique_number, greedy_upper_bound, is_k_colorable
+from .coloring import Coloring, chromatic_number, clique_number, is_k_colorable
 from .critical import (
     CriticalityReport,
     find_comparable_pair,

@@ -20,7 +20,13 @@ from .canon import are_isomorphic
 from .certify import IncompleteListError, NotInClassError, certify_4_colorability
 from .coloring import chromatic_number
 from .critical import is_k_critical_in_class, is_k_vertex_critical
-from .enumeration import SearchConfig, default_max_order_for, enumerate_5vc, recursively_enumerate
+from .enumeration import (
+    NAMED_H_MAX_ORDER,
+    SearchConfig,
+    default_max_order_for,
+    enumerate_5vc,
+    recursively_enumerate,
+)
 from .graph6 import Graph6Error, ascii_lines, encode_graph6, read_graph6_file, write_graph6_file
 from .graphs import MAX_ORDER, Graph, bits, induced_subgraph
 from .patterns import Pattern, is_family_free, parse_pattern
@@ -47,9 +53,8 @@ def _named_h(family: tuple[Pattern, ...]) -> Pattern:
         raise ValueError("--seed auto needs the family {p5, H}")
     h = others[0]
     if default_max_order_for(h) is None:
-        raise ValueError(
-            f"--seed auto only covers H in {{k1,3+p1, k1,4+p1, co(k3+2p1)}}; got {h.name!r}"
-        )
+        names = ", ".join(NAMED_H_MAX_ORDER)
+        raise ValueError(f"--seed auto only covers H in {{{names}}}; got {h.name!r}")
     return h
 
 
@@ -65,7 +70,6 @@ def _seed_graphs(source: str) -> list[Graph]:
 def cmd_enumerate(args) -> int:
     family = _parse_family(args.forbid)
     pruning = not args.no_prune
-    jobs = max(1, args.jobs)
 
     def progress(order, count):
         _p(f"  expanding {count} graphs of order {order}")
@@ -81,7 +85,7 @@ def cmd_enumerate(args) -> int:
             k=args.k, family=family, max_order=args.max_order,
             seeds=tuple(_seed_graphs(args.seed)), pruning=pruning))
     open(args.out, "a").close()  # an unwritable --out fails here, not after the search
-    result = search(jobs=jobs, progress=progress)
+    result = search(jobs=args.jobs, progress=progress)
     write_graph6_file(args.out, result.graphs)
     _p(f"wrote {len(result.graphs)} graphs to {args.out}")
     for n, c in result.per_order_counts.items():
@@ -234,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; must be at least 1, and no more than the CPU "
+                        "count are started (default 1)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="re-check criticality of every graph in a list")

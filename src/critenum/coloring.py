@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -126,43 +126,16 @@ def clique_number(g: Graph) -> int:
     return best
 
 
-def greedy_upper_bound(g: Graph) -> int:
-    """Colors used by saturation-degree greedy; an upper bound on chi."""
-    n = g.n
-    if n == 0:
-        return 0
-    rows = g.rows
-    degs = [r.bit_count() for r in rows]
-    colors = [-1] * n
-    adj_mask = [0] * n
-    used = 0
-    for _ in range(n):
-        v = -1
-        best = (-1, -1)
-        for u in range(n):
-            if colors[u] < 0:
-                key = (adj_mask[u].bit_count(), degs[u])
-                if key > best:
-                    best = key
-                    v = u
-        mask = adj_mask[v]
-        c = ((mask + 1) & ~mask).bit_length() - 1  # lowest unused color index
-        colors[v] = c
-        used = max(used, c + 1)
-        for u in bits(rows[v]):
-            adj_mask[u] |= 1 << c
-    return used
-
-
 def chromatic_number(g: Graph) -> int:
-    """Least k admitting a proper k-coloring; 0 for the empty graph."""
+    """Least k admitting a proper k-coloring; 0 for the empty graph.
+
+    The exact search runs at k = omega(g), omega(g) + 1, ... (chi >= omega)
+    and the first k it colors is the answer; it succeeds by k = n at the
+    latest.
+    """
     if g.n == 0:
         return 0
-    lo = clique_number(g)
-    hi = greedy_upper_bound(g)
-    k = lo
-    while k < hi:
-        if _color_assignment(g.rows, g.n, k) is not None:
-            return k
+    k = clique_number(g)
+    while _color_assignment(g.rows, g.n, k) is None:
         k += 1
-    return hi
+    return k

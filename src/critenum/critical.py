@@ -126,9 +126,13 @@ def find_xy_obstruction(g: Graph, max_size: int = 3) -> tuple[VertexSet, VertexS
 def is_k_critical_in_class(g: Graph, k: int, family: Iterable[PatternLike]) -> bool:
     """In-class criticality: no family-free proper subgraph keeps chi >= k.
 
-    Decided by recursion over single edge/vertex deletions: a subgraph
-    branch stays alive only while its chromatic number is still >= k, and
-    succeeds as soon as it is family-free.  Memoized on canonical forms.
+    g must first be k-vertex-critical.  Then only spanning subgraphs x of g
+    (edges deleted, no vertex deleted) need a search: for any vertex v,
+    x - v is a subgraph of g - v, so chi(x - v) < k, and every proper
+    subgraph with a vertex deleted is already ruled out.  The recursion
+    deletes one edge at a time; a branch stays alive only while its
+    chromatic number is still >= k, and succeeds as soon as it is
+    family-free.  Memoized on canonical forms.
     """
     family = tuple(family)
     if not is_family_free(g, family):
@@ -142,24 +146,12 @@ def is_k_critical_in_class(g: Graph, k: int, family: Iterable[PatternLike]) -> b
 
 
 def _has_chi_k_free_subgraph(x: Graph, k: int, family, memo: dict[bytes, bool]) -> bool:
+    """Whether x or a spanning subgraph of x is family-free with chi >= k."""
     if is_k_colorable(x, k - 1) is not None:
         return False
     key = canonical_form(x)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if is_family_free(x, family):
-        memo[key] = True
-        return True
-    result = False
-    for v in range(x.n):
-        if _has_chi_k_free_subgraph(delete_vertex(x, v), k, family, memo):
-            result = True
-            break
-    if not result:
-        for u, v in x.edges():
-            if _has_chi_k_free_subgraph(delete_edge(x, u, v), k, family, memo):
-                result = True
-                break
-    memo[key] = result
-    return result
+    if key not in memo:
+        memo[key] = is_family_free(x, family) or any(
+            _has_chi_k_free_subgraph(delete_edge(x, u, v), k, family, memo)
+            for u, v in x.edges())
+    return memo[key]

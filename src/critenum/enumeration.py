@@ -79,6 +79,7 @@ submission order, so output is byte-identical for any job count.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -88,6 +89,7 @@ from .canon import CanonicalForm, canonical_form, canonical_key, form_of_key
 from .coloring import is_k_colorable
 from .critical import find_xy_obstruction, noncritical_vertex
 from .graphs import (
+    MAX_ORDER,
     Graph,
     VertexSet,
     add_vertex_with_neighborhood,
@@ -116,8 +118,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be positive")
-        if not 1 <= self.max_order <= 64:
-            raise ValueError("max_order must be within 1..64")
+        if not 1 <= self.max_order <= MAX_ORDER:
+            raise ValueError(f"max_order must be within 1..{MAX_ORDER}")
 
 
 @dataclass
@@ -221,8 +223,12 @@ def recursively_enumerate(
     an error.  ``progress(order, count)`` is called once per order, with
     the number of distinct graphs processed there.  Truncation (an
     extendable graph stopped by the order cap) is reported through
-    ``complete=False``, never silently.
+    ``complete=False``, never silently.  ``jobs`` must be at least 1; at
+    most ``os.cpu_count()`` worker processes are started.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     seeds_at: dict[int, list[Graph]] = {}
     for seed in cfg.seeds:
         if not is_family_free(seed, cfg.family):

@@ -15,6 +15,7 @@ from critenum import (
     write_graph6_file,
 )
 from critenum.cli import main
+from critenum.enumeration import NAMED_H_MAX_ORDER
 
 
 def run(argv, capsys):
@@ -111,6 +112,18 @@ def test_enumerate_auto_validation(tmp_path, capsys):
         capsys,
     )
     assert code == 1 and "auto" in err
+    assert all(name in err for name in NAMED_H_MAX_ORDER)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_enumerate_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    code, _, err = run(
+        ["enumerate", "--k", "5", "--forbid", "p5", "--forbid", "co(k3+2p1)",
+         "--seed", "auto", "--max-order", "7", "--jobs", jobs, "--out", str(tmp_path / "x.g6")],
+        capsys,
+    )
+    assert code == 1
+    assert err.splitlines() == [f"error: jobs must be at least 1, got {jobs}"]
 
 
 def test_enumerate_no_prune_same_output(tmp_path, capsys):

@@ -11,7 +11,6 @@ from critenum import (
     delete_edge,
     delete_vertex,
     empty_graph,
-    greedy_upper_bound,
     is_k_colorable,
 )
 from oracles import naive_chromatic, random_graph
@@ -62,19 +61,15 @@ def test_clique_number():
     assert clique_number(empty_graph(0)) == 0
 
 
-def test_greedy_upper_bound():
-    assert greedy_upper_bound(complete(5)) == 5
-    assert greedy_upper_bound(empty_graph(5)) == 1
-
-
-def test_sandwich_and_greedy_dominates():
+def test_clique_bound_and_exactness():
     rng = random.Random(13)
     for _ in range(1000):
         g = random_graph(rng, rng.randint(0, 10), rng.random())
         lo = clique_number(g)
         chi = chromatic_number(g)
-        hi = greedy_upper_bound(g)
-        assert lo <= chi <= hi
+        assert lo <= chi
+        assert is_k_colorable(g, chi) is not None
+        assert chi == 0 or is_k_colorable(g, chi - 1) is None
 
 
 def test_monotonicity_under_deletion():

@@ -1,3 +1,6 @@
+import hashlib
+import multiprocessing
+import os
 import random
 from pathlib import Path
 
@@ -131,6 +134,17 @@ def test_pruning_differential_small_cap():
         assert on.nodes_visited <= off.nodes_visited
 
 
+def test_no_prune_nodes_and_bytes_to_order_9(tmp_path):
+    on = enumerate_5vc(H13, max_order=9)
+    off = enumerate_5vc(H13, max_order=9, pruning=False)
+    assert off.nodes_visited == 6233
+    out = tmp_path / "off.g6"
+    write_graph6_file(out, off.graphs)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c2a320dec113faf28815b990e7cd72827cf21d478247c604e735047bae3ac046")
+    assert {canonical_form(g) for g in on.graphs} == {canonical_form(g) for g in off.graphs}
+
+
 def test_obligation_filters_children():
     from critenum import complete_bipartite
 
@@ -161,6 +175,20 @@ def test_determinism_across_runs_and_jobs():
     lines = [[canonical_form(g) for g in r.graphs] for r in (r1, r2, r3)]
     assert lines[0] == lines[1] == lines[2]
     assert r1.nodes_visited == r2.nodes_visited == r3.nodes_visited
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    cfg = SearchConfig(k=5, family=(P5, HCO), max_order=8, seeds=(complement(cycle(5)),))
+    serial = recursively_enumerate(cfg)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no pool on a single CPU")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    capped = recursively_enumerate(cfg, jobs=4)
+    assert capped.graphs == serial.graphs
+    assert capped.nodes_visited == serial.nodes_visited
 
 
 def test_isomorphic_seeds_searched_once():
