@@ -29,11 +29,9 @@ from .critical import (
 from .enumeration import (
     EnumerationResult,
     SearchConfig,
-    all_graphs,
     default_max_order_for,
     enumerate_5vc,
     find_obligations,
-    one_vertex_extensions,
     recursively_enumerate,
     seed_graphs,
     sort_graphs,

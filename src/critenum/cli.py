@@ -92,7 +92,8 @@ def cmd_enumerate(args) -> int:
         _p(f"  n={n}: {c}")
     _p(f"nodes visited: {result.nodes_visited}")
     _p("search complete" if result.complete else
-       "search TRUNCATED at the order cap: completeness not established")
+       f"search TRUNCATED at the order cap with {result.open_nodes} open nodes: "
+       "completeness not established")
     return 0 if result.complete else 2
 
 

@@ -7,11 +7,13 @@ emitted iff it is k-vertex-critical, and never extended (no supergraph of a
 non-critical chi >= k graph can be vertex-critical).
 
 One level-synchronous driver, :func:`recursively_enumerate`, runs the whole
-search.  Level n holds the children of level n - 1 followed by the seeds of
-order n.  A child always has one vertex more than its parent, so a set of
-canonical keys (:func:`canon.canonical_key`) per level removes every
-duplicate, whichever seed or path reached it, and each level's set is
-dropped once the level is done.
+search, one pass over each level.  A node's worker labels every child it
+builds with its canonical key (:func:`canon.canonical_key`), and the driver
+merges the children into the next level, a dict keyed by canonical key, as
+each parent's result arrives, in parent order; the seeds of order n are
+merged after the children of level n - 1.  A child always has one vertex
+more than its parent, so this one dict per level removes every duplicate,
+whichever seed or path reached it, and keeps the first graph of each class.
 
 The children of a parent are filtered for all 2^n candidate neighborhoods
 at once, and every rule enters the filter the same way: as forbidden
@@ -83,11 +85,12 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 from .canon import CanonicalForm, canonical_form, canonical_key, form_of_key
 from .coloring import is_k_colorable
 from .critical import find_xy_obstruction, noncritical_vertex
+from .graph6 import encode_graph6
 from .graphs import (
     MAX_ORDER,
     Graph,
@@ -127,13 +130,11 @@ class EnumerationResult:
     graphs: list[Graph]
     per_order_counts: dict[int, int]
     nodes_visited: int
-    complete: bool
+    open_nodes: int  # graphs still extendable at the order cap
 
-
-def one_vertex_extensions(g: Graph) -> Iterator[Graph]:
-    """All 2^n one-vertex extensions, in ascending neighborhood-mask order."""
-    for s in range(1 << g.n):
-        yield add_vertex_with_neighborhood(g, s)
+    @property
+    def complete(self) -> bool:
+        return self.open_nodes == 0
 
 
 def find_obligations(g: Graph) -> tuple[VertexSet, VertexSet] | None:
@@ -155,13 +156,14 @@ _EXPAND = 3
 
 
 def _process_node(node: tuple[Graph, list[bytes]], cfg: SearchConfig):
+    """The node's outcome, and for ``_EXPAND`` its children, each with its canonical key."""
     g, autos = node
     k = cfg.k
     if is_k_colorable(g, k - 1) is None:
         return (_OUT, None) if noncritical_vertex(g, k) is None else (_DEAD, None)
     if g.n >= cfg.max_order:
         return (_TRUNCATED, None)
-    return (_EXPAND, _allowed_free_extensions(g, cfg, autos))
+    return (_EXPAND, [(c, *canonical_key(c)) for c in _allowed_free_extensions(g, cfg, autos)])
 
 
 def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes]) -> list[Graph]:
@@ -220,59 +222,57 @@ def recursively_enumerate(
     Every such graph of order <= max_order that contains some seed as an
     induced subgraph is returned once, sorted by :func:`sort_graphs`.  A
     seed above the order cap is skipped; a seed that is not family-free is
-    an error.  ``progress(order, count)`` is called once per order, with
-    the number of distinct graphs processed there.  Truncation (an
-    extendable graph stopped by the order cap) is reported through
-    ``complete=False``, never silently.  ``jobs`` must be at least 1; at
-    most ``os.cpu_count()`` worker processes are started.
+    an error naming its position in ``cfg.seeds`` and its graph6.  Each
+    level is one pass of :func:`_process_node` over its distinct graphs;
+    their labelled children are merged into the next level as each result
+    arrives, in submission order.  ``progress(order, count)`` is called
+    once per order with the count of that pass.  Truncation (an extendable
+    graph stopped by the order cap) is counted in ``open_nodes``, and
+    ``complete`` is False then, never silently.  ``jobs`` must be at least
+    1; at most ``os.cpu_count()`` worker processes are started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     seeds_at: dict[int, list[Graph]] = {}
-    for seed in cfg.seeds:
+    for i, seed in enumerate(cfg.seeds, 1):
         if not is_family_free(seed, cfg.family):
-            raise ValueError("seed is not family-free")
+            raise ValueError(f"seed {i} of {len(cfg.seeds)} ({encode_graph6(seed)}) "
+                             "is not family-free")
         if seed.n <= cfg.max_order:
             seeds_at.setdefault(seed.n, []).append(seed)
-    visited = 0
-    truncated = False
+    visited = open_nodes = 0
     emitted: list[tuple[Graph, CanonicalForm]] = []
-
     pool = None
     if jobs > 1:
         import multiprocessing
 
         pool = multiprocessing.get_context("fork").Pool(jobs)
-
-    def map_level(fn, items):
-        """``fn`` over ``items``, results in order as they arrive."""
-        if pool is None:
-            return map(fn, items)
-        return pool.imap(fn, items, max(1, len(items) // (jobs * 4)))
-
+    process = partial(_process_node, cfg=cfg)
     try:
-        frontier: list[Graph] = []
+        # the first graph of each class, with the automorphisms its search found
+        level: dict[int, tuple[Graph, list[bytes]]] = {}
         for order in range(min(seeds_at, default=1), cfg.max_order + 1):
-            level = frontier + seeds_at.get(order, [])
+            for seed in seeds_at.get(order, []):
+                key, autos = canonical_key(seed)
+                level.setdefault(key, (seed, autos))
             if not level:
                 continue
-            # the first graph of each class, with the automorphisms its search found
-            unique: dict[int, tuple[Graph, list[bytes]]] = {}
-            for g, (key, autos) in zip(level, map_level(canonical_key, level)):
-                unique.setdefault(key, (g, autos))
-            outcomes = map_level(partial(_process_node, cfg=cfg), list(unique.values()))
-            visited += len(unique)
-            frontier = []
-            for (key, (g, _)), (kind, children) in zip(unique.items(), outcomes):
+            outcomes = (map(process, level.values()) if pool is None else
+                        pool.imap(process, level.values(), max(1, len(level) // (jobs * 4))))
+            visited += len(level)
+            upper: dict[int, tuple[Graph, list[bytes]]] = {}
+            for (key, (g, _)), (kind, children) in zip(level.items(), outcomes):
                 if kind == _OUT:
                     emitted.append((g, form_of_key(order, key)))
                 elif kind == _TRUNCATED:
-                    truncated = True
+                    open_nodes += 1
                 elif kind == _EXPAND:
-                    frontier.extend(children)
+                    for child, child_key, child_autos in children:
+                        upper.setdefault(child_key, (child, child_autos))
             if progress is not None:
-                progress(order, len(unique))
+                progress(order, len(level))
+            level = upper
     finally:
         if pool is not None:
             pool.close()
@@ -282,7 +282,7 @@ def recursively_enumerate(
         graphs=[g for g, _ in emitted],
         per_order_counts=dict(sorted(Counter(g.n for g, _ in emitted).items())),
         nodes_visited=visited,
-        complete=not truncated,
+        open_nodes=open_nodes,
     )
 
 
@@ -346,24 +346,3 @@ def sort_graphs(graphs: list[Graph]) -> list[Graph]:
     """Deterministic output order: by order, then canonical form bytes."""
     return sorted(graphs, key=lambda g: (g.n, canonical_form(g)))
 
-
-def all_graphs(max_order: int) -> dict[int, list[Graph]]:
-    """Every isomorphism class of order 1..max_order, one representative each.
-
-    Brute-force reference generator: canonical-form-deduplicated exhaustive
-    one-vertex extension, no pruning of any kind.  Exponential; meant for
-    small orders where it serves as the completeness oracle for the pruned
-    search.
-    """
-    levels: dict[int, list[Graph]] = {1: [Graph(1, (0,))]}
-    for n in range(1, max_order):
-        seen: set[bytes] = set()
-        nxt: list[Graph] = []
-        for g in levels[n]:
-            for child in one_vertex_extensions(g):
-                cf = canonical_form(child)
-                if cf not in seen:
-                    seen.add(cf)
-                    nxt.append(child)
-        levels[n + 1] = nxt
-    return levels

@@ -7,15 +7,26 @@ criticality enumerates every proper subgraph, and the canonical form
 explores every branch of the individualization-refinement tree.
 Automorphisms are found by trying every permutation.  Forbidden traces come
 from every induced embedding of P - r for every vertex r, found by plain
-backtracking, and extension masks are filtered one mask at a time.
+backtracking, and extension masks are filtered one mask at a time.  The
+reference generator extends every graph by every neighborhood; it dedups
+with the canonical form, so it checks the search, not canon.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
-from critenum import Graph, chromatic_number, delete_vertex, induced_subgraph, is_family_free
+from critenum import (
+    Graph,
+    add_vertex_with_neighborhood,
+    canonical_form,
+    chromatic_number,
+    delete_vertex,
+    induced_subgraph,
+    is_family_free,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -79,6 +90,34 @@ def full_tree_canonical_rows(g: Graph) -> tuple[int, ...]:
             yield from leaf_codes(refined(cells[:target] + [[v], rest] + cells[target + 1:]))
 
     return min(leaf_codes(refined([list(range(n))])))
+
+
+def one_vertex_extensions(g: Graph) -> Iterator[Graph]:
+    """All 2^n one-vertex extensions, in ascending neighborhood-mask order."""
+    for s in range(1 << g.n):
+        yield add_vertex_with_neighborhood(g, s)
+
+
+def all_graphs(max_order: int) -> dict[int, list[Graph]]:
+    """Every isomorphism class of order 1..max_order, one representative each.
+
+    Brute-force reference generator: canonical-form-deduplicated exhaustive
+    one-vertex extension, no pruning of any kind.  Exponential; meant for
+    small orders where it serves as the completeness oracle for the pruned
+    search.
+    """
+    levels: dict[int, list[Graph]] = {1: [Graph(1, (0,))]}
+    for n in range(1, max_order):
+        seen: set[bytes] = set()
+        nxt: list[Graph] = []
+        for g in levels[n]:
+            for child in one_vertex_extensions(g):
+                cf = canonical_form(child)
+                if cf not in seen:
+                    seen.add(cf)
+                    nxt.append(child)
+        levels[n + 1] = nxt
+    return levels
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

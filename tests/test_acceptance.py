@@ -19,7 +19,6 @@ import pytest
 
 from critenum import (
     Graph,
-    all_graphs,
     canonical_form,
     certify_4_colorability,
     chromatic_number,
@@ -35,7 +34,7 @@ from critenum import (
     parse_pattern,
     read_graph6_file,
 )
-from oracles import brute_isomorphic, naive_chromatic, permuted, random_graph
+from oracles import all_graphs, brute_isomorphic, naive_chromatic, permuted, random_graph
 
 H_NAMES = ["k1,3+p1", "k1,4+p1", "co(k3+2p1)"]
 P5 = parse_pattern("p5")
@@ -140,7 +139,7 @@ def test_criterion_3_full_enumeration_k13p1(name):
     print(
         f"run report {name}: total={len(res.graphs)} (expected {VC_TOTALS[name]}), "
         f"per-order match={counts_ok}, complete={res.complete}, "
-        f"nodes visited={res.nodes_visited}"
+        f"open nodes={res.open_nodes}, nodes visited={res.nodes_visited}"
     )
     _report(3, counts_ok and res.complete,
             f"full run {name}: total={len(res.graphs)} complete={res.complete}")

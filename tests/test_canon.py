@@ -5,7 +5,6 @@ from pathlib import Path
 
 from critenum import (
     Graph,
-    all_graphs,
     are_isomorphic,
     canonical_form,
     complement,
@@ -19,6 +18,7 @@ from critenum import (
 )
 from critenum.canon import canonical_key, form_of_key
 from oracles import (
+    all_graphs,
     brute_automorphisms,
     brute_isomorphic,
     full_tree_canonical_rows,

@@ -36,7 +36,7 @@ def test_enumerate_small_run(tmp_path, capsys):
     assert len(lines) == 2
     graphs = [decode_graph6(line) for line in lines]
     assert [g.n for g in graphs] == [5, 7]
-    assert "TRUNCATED" in err
+    assert "TRUNCATED at the order cap with 26 open nodes" in err
 
 
 def test_enumerate_deterministic_across_jobs(tmp_path, capsys):
@@ -124,6 +124,19 @@ def test_enumerate_rejects_jobs_below_one(tmp_path, capsys, jobs):
     )
     assert code == 1
     assert err.splitlines() == [f"error: jobs must be at least 1, got {jobs}"]
+
+
+def test_enumerate_names_a_seed_that_is_not_family_free(tmp_path, capsys):
+    seeds = tmp_path / "seeds.g6"
+    write_graph6_file(seeds, [cycle(5), path(5)])
+    code, _, err = run(
+        ["enumerate", "--k", "5", "--forbid", "p5", "--seed", str(seeds),
+         "--max-order", "7", "--out", str(tmp_path / "x.g6")],
+        capsys,
+    )
+    assert code == 1
+    g6 = encode_graph6(path(5))
+    assert err.splitlines() == [f"error: seed 2 of 2 ({g6}) is not family-free"]
 
 
 def test_enumerate_no_prune_same_output(tmp_path, capsys):

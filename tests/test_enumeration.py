@@ -9,7 +9,6 @@ import pytest
 from critenum import (
     SearchConfig,
     add_vertex_with_neighborhood,
-    all_graphs,
     are_isomorphic,
     canonical_form,
     chromatic_number,
@@ -26,7 +25,6 @@ from critenum import (
     is_family_free,
     is_k_colorable,
     is_k_vertex_critical,
-    one_vertex_extensions,
     parse_pattern,
     path,
     recursively_enumerate,
@@ -38,7 +36,13 @@ import critenum.enumeration
 from critenum.canon import canonical_key
 from critenum.enumeration import _allowed_free_extensions
 from critenum.patterns import forbidden_traces, free_extension_masks
-from oracles import brute_automorphisms, permuted, random_graph
+from oracles import (
+    all_graphs,
+    brute_automorphisms,
+    one_vertex_extensions,
+    permuted,
+    random_graph,
+)
 
 P5 = parse_pattern("p5")
 H13 = parse_pattern("k1,3+p1")
@@ -69,8 +73,8 @@ def test_seed_k5_outputs_itself():
 
 
 def test_seed_must_be_family_free():
-    cfg = SearchConfig(k=5, family=(P5,), max_order=7, seeds=(path(6),))
-    with pytest.raises(ValueError):
+    cfg = SearchConfig(k=5, family=(P5,), max_order=7, seeds=(complete(5), path(6)))
+    with pytest.raises(ValueError, match=r"^seed 2 of 2 \(EhCG\) is not family-free$"):
         recursively_enumerate(cfg)
 
 
@@ -200,6 +204,22 @@ def test_isomorphic_seeds_searched_once():
         SearchConfig(k=5, family=(P5, HCO), max_order=8, seeds=(seed, relabelled)))
     assert two.nodes_visited == one.nodes_visited
     assert [canonical_form(g) for g in two.graphs] == [canonical_form(g) for g in one.graphs]
+
+
+def test_children_merge_before_seeds_of_their_order():
+    # Level n takes the children of level n - 1 first, then the seeds of
+    # order n, so a seed isomorphic to a child changes neither the first
+    # graph of its class nor anything searched from it.
+    seed = complement(cycle(5))
+    cfg = SearchConfig(k=5, family=(P5, HCO), max_order=9, seeds=(seed,))
+    child = _allowed_free_extensions(seed, cfg, canonical_key(seed)[1])[3]
+    relabelled = permuted(child, [5, 3, 0, 4, 1, 2])
+    assert relabelled != child and are_isomorphic(relabelled, child)
+    alone = recursively_enumerate(cfg)
+    both = recursively_enumerate(
+        SearchConfig(k=5, family=(P5, HCO), max_order=9, seeds=(seed, relabelled)))
+    assert alone.nodes_visited == both.nodes_visited == 671
+    assert both.graphs == alone.graphs
 
 
 def test_nodes_visited_to_order_8():
@@ -356,3 +376,5 @@ def test_truncation_reported():
     cfg = SearchConfig(k=5, family=(P5, HCO), max_order=5, seeds=(complement(cycle(5)),))
     res = recursively_enumerate(cfg)
     assert not res.complete  # the seed itself is an open branch at the cap
+    assert res.open_nodes == 1
+    assert enumerate_5vc(H13, max_order=8).open_nodes == 182
