@@ -45,4 +45,4 @@ claw = complete_bipartite(1, 3)
 print("comparable pair in the claw:", find_comparable_pair(claw))
 print("comparable pair in C5:", find_comparable_pair(c5))
 print("small obstruction in K5 + K1:",
-      find_xy_obstruction(disjoint_union(complete(5), path(1)), 2))
+      find_xy_obstruction(disjoint_union(complete(5), path(1))))

@@ -2,7 +2,7 @@
 
 The generator grows graphs one vertex at a time from the built-in seeds
 (exhaustive whenever P5 is forbidden), prunes extensions that cannot lead to
-a critical graph, deduplicates by canonical form, and emits exactly the
+a critical graph, deduplicates by canonical key, and emits exactly the
 critical ones.  For the three named H the per-order counts up to the cap
 match the published tables.
 """

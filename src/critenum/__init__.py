@@ -31,10 +31,8 @@ from .enumeration import (
     SearchConfig,
     default_max_order_for,
     enumerate_5vc,
-    find_obligations,
     recursively_enumerate,
     seed_graphs,
-    sort_graphs,
     sporadic_graphs,
 )
 from .graph6 import (
@@ -58,13 +56,10 @@ from .graphs import (
     delete_edge,
     delete_vertex,
     disjoint_union,
-    empty_graph,
     induced_subgraph,
     is_connected,
     mask_of,
-    neighborhood,
     path,
-    set_neighborhood,
 )
 from .patterns import (
     Embedding,

@@ -50,7 +50,7 @@ graph, so it doubles as a ready-to-write output line.  The enumeration
 does not dedup on it: its key is :func:`canonical_key`, the canonical rows
 packed into one int, which needs no encoding and identifies a class among
 graphs of one order.  Only emitted graphs are encoded, from their key by
-:func:`form_of_key`.
+:func:`form_of_key`, which :func:`canonical_form` calls too.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Order-prefixed byte fingerprint of the isomorphism class of ``g``."""
-    return encode_graph6(_graph(g.n, _canonical_search(g)[0])).encode("ascii")
+    return form_of_key(g.n, canonical_key(g)[0])
 
 
 def canonical_key(g: Graph) -> tuple[int, list[bytes]]:

@@ -60,7 +60,11 @@ def _named_h(family: tuple[Pattern, ...]) -> Pattern:
 
 def _seed_graphs(source: str) -> list[Graph]:
     if not os.path.exists(source):
-        return [parse_pattern(source).graph]
+        try:
+            return [parse_pattern(source).graph]
+        except ValueError as exc:
+            raise ValueError(f"--seed {source} is neither an existing file nor a pattern: {exc}"
+                             ) from None
     seeds = read_graph6_file(source)
     if not seeds:
         raise ValueError(f"no seed graphs in {source}")

@@ -12,10 +12,9 @@ enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .canon import canonical_form
+from .canon import canonical_key
 from .coloring import chromatic_number, is_k_colorable
 from .graphs import Graph, VertexSet, bits, delete_edge, delete_vertex
 from .patterns import PatternLike, is_family_free
@@ -58,68 +57,57 @@ def noncritical_vertex(g: Graph, k: int) -> int | None:
     return None
 
 
+def _candidates(rows: tuple[int, ...], xmask: VertexSet) -> VertexSet:
+    """The vertices y that avoid X and N(X) and are adjacent to all of N(X)."""
+    nx = 0
+    for v in bits(xmask):
+        nx |= rows[v]
+    nx &= ~xmask
+    cand = (1 << len(rows)) - 1 & ~xmask & ~nx
+    for u in bits(nx):
+        cand &= rows[u]
+    return cand
+
+
 def find_comparable_pair(g: Graph) -> tuple[int, int] | None:
-    """A nonadjacent ordered pair (u, v) with N(u) subset of N(v), else None."""
-    ob = find_xy_obstruction(g, 1)  # its (1, 1) stage tries u, then v, ascending
-    return None if ob is None else (ob[0].bit_length() - 1, ob[1].bit_length() - 1)
+    """A nonadjacent ordered pair (u, v) with N(u) subset of N(v), else None.
+
+    The least u, then the least v: the first stage of
+    :func:`find_xy_obstruction`.
+    """
+    for u in range(g.n):
+        cand = _candidates(g.rows, 1 << u)
+        if cand:
+            return (u, (cand & -cand).bit_length() - 1)
+    return None
 
 
-def _chi_upto3(rows: Sequence[int], members: tuple[int, ...]) -> int:
-    # chromatic number of an induced set of at most 3 vertices
-    edges = 0
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            edges += (rows[u] >> v) & 1
-    if edges == 0:
-        return 1
-    if len(members) == 3 and edges == 3:
-        return 3
-    return 2
-
-
-def find_xy_obstruction(g: Graph, max_size: int = 3) -> tuple[VertexSet, VertexSet] | None:
-    """Disjoint nonempty X, Y violating criticality, as bitmasks, else None.
+def find_xy_obstruction(g: Graph) -> tuple[VertexSet, VertexSet] | None:
+    """Disjoint X, Y of one or two vertices violating criticality, as bitmasks, else None.
 
     The conditions: X and Y anticomplete, chi(G[X]) <= chi(G[Y]), and Y
-    complete to N(X).  Subset sizes are capped by ``max_size`` (at most 3);
-    the (1, 1) case is exactly a comparable pair.
+    complete to N(X).  The first pair in this order is returned: stages
+    (1, 1), (1, 2), (2, 1), (2, 2) by (|X|, |Y|), then X, then Y, each in
+    lexicographic order of the sorted vertex tuple.
 
-    The first pair in this order is returned: stages by (|X| + |Y|, |X|),
-    then X, then Y, each in lexicographic order of the sorted vertex tuple.
-    The first two conditions and half of the third are per-vertex: y must
-    avoid X and N(X) and be adjacent to every vertex of N(X).  So for each
-    X the vertices that may go into Y form one candidate set, and the
-    lexicographic combinations of the candidates are exactly the
-    combinations of all vertices, in the same order, less those with a
-    vertex outside it.  Scanning only them and testing chromatic numbers
-    finds the same first pair.
+    If (X, Y) qualifies and X is not an edge, so does ({x}, {y}) for any x
+    in X and y in Y: a single vertex has chi 1, and N(x) lies inside N(X)
+    since x has no neighbor in X.  An edge X has chi 2, so its Y must be an
+    edge too.  The first pair is therefore the first comparable pair (the
+    (1, 1) stage), else the first edge X with an edge Y among the
+    candidates of X.
     """
-    if not 1 <= max_size <= 3:
-        raise ValueError("max_size must be 1, 2 or 3")
-    n = g.n
+    pair = find_comparable_pair(g)
+    if pair is not None:
+        return (1 << pair[0], 1 << pair[1])
     rows = g.rows
-    full = (1 << n) - 1
-    stages = sorted(
-        ((sx, sy) for sx in range(1, max_size + 1) for sy in range(1, max_size + 1)),
-        key=lambda p: (p[0] + p[1], p[0]),
-    )
-    for sx, sy in stages:
-        for xs in combinations(range(n), sx):
-            xmask = 0
-            nx = 0
-            for v in xs:
-                xmask |= 1 << v
-                nx |= rows[v]
-            nx &= ~xmask
-            cand = full & ~xmask & ~nx  # Y must avoid X and N(X): anticomplete
-            for u in bits(nx):  # and be complete to N(X)
-                cand &= rows[u]
-            if cand.bit_count() < sy:
-                continue
-            chi_x = _chi_upto3(rows, xs)
-            for ys in combinations(bits(cand), sy):
-                if chi_x <= _chi_upto3(rows, ys):
-                    return (xmask, sum(1 << y for y in ys))
+    for a, b in g.edges():
+        xmask = 1 << a | 1 << b
+        cand = _candidates(rows, xmask)
+        for y in bits(cand):
+            later = rows[y] & cand & ~((2 << y) - 1)  # the neighbors of y after it
+            if later:
+                return (xmask, 1 << y | (later & -later))
     return None
 
 
@@ -132,7 +120,9 @@ def is_k_critical_in_class(g: Graph, k: int, family: Iterable[PatternLike]) -> b
     subgraph with a vertex deleted is already ruled out.  The recursion
     deletes one edge at a time; a branch stays alive only while its
     chromatic number is still >= k, and succeeds as soon as it is
-    family-free.  Memoized on canonical forms.
+    family-free.  Memoized on canonical keys: every graph in the memo is a
+    spanning subgraph of g, so all have one order and the key is injective
+    among them.
     """
     family = tuple(family)
     if not is_family_free(g, family):
@@ -140,16 +130,16 @@ def is_k_critical_in_class(g: Graph, k: int, family: Iterable[PatternLike]) -> b
     report = is_k_vertex_critical(g, k)
     if not report.is_vertex_critical:
         return False
-    memo: dict[bytes, bool] = {}
+    memo: dict[int, bool] = {}
     return not any(_has_chi_k_free_subgraph(delete_edge(g, u, v), k, family, memo)
                    for u, v in g.edges())
 
 
-def _has_chi_k_free_subgraph(x: Graph, k: int, family, memo: dict[bytes, bool]) -> bool:
+def _has_chi_k_free_subgraph(x: Graph, k: int, family, memo: dict[int, bool]) -> bool:
     """Whether x or a spanning subgraph of x is family-free with chi >= k."""
     if is_k_colorable(x, k - 1) is not None:
         return False
-    key = canonical_form(x)
+    key = canonical_key(x)[0]
     if key not in memo:
         memo[key] = is_family_free(x, family) or any(
             _has_chi_k_free_subgraph(delete_edge(x, u, v), k, family, memo)

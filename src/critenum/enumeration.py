@@ -142,10 +142,9 @@ def find_obligations(g: Graph) -> tuple[VertexSet, VertexSet] | None:
 
     ``x`` and ``y`` are vertex bitmasks of ``g``; a new vertex is allowed
     only if it is adjacent to some vertex of ``x`` and nonadjacent to some
-    vertex of ``y``.  Subsets of up to two vertices are searched, which
-    covers comparable pairs as the (1, 1) case.
+    vertex of ``y``.  Comparable pairs are the (1, 1) case.
     """
-    return find_xy_obstruction(g, 2)
+    return find_xy_obstruction(g)
 
 
 # Node outcomes for the search driver.

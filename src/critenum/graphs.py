@@ -125,11 +125,6 @@ def _graph(n: int, rows: tuple[int, ...]) -> Graph:
     return g
 
 
-def empty_graph(n: int = 0) -> Graph:
-    _check_order(n)
-    return Graph(n, (0,) * n)
-
-
 def path(t: int) -> Graph:
     """The path on ``t`` vertices with edges {i, i+1}."""
     if t < 1:
@@ -230,23 +225,9 @@ def add_vertex_with_neighborhood(g: Graph, nbrs: VertexSet | Iterable[int]) -> G
     return _graph(g.n + 1, rows + (m,))
 
 
-def neighborhood(g: Graph, v: int) -> VertexSet:
-    g._check_vertex(v)
-    return g.rows[v]
-
-
 def degree(g: Graph, v: int) -> int:
     g._check_vertex(v)
     return g.rows[v].bit_count()
-
-
-def set_neighborhood(g: Graph, s: VertexSet | Iterable[int]) -> VertexSet:
-    """N(S): union of neighborhoods of ``s`` minus ``s`` itself."""
-    m = _as_mask(g.n, s)
-    out = 0
-    for v in bits(m):
-        out |= g.rows[v]
-    return out & ~m
 
 
 def is_connected(g: Graph) -> bool:

@@ -98,6 +98,22 @@ def test_enumerate_empty_seed_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_enumerate_missing_seed_file(tmp_path, capsys):
+    # a --seed that is no file is read as a pattern; the error names the argument
+    seeds = tmp_path / "seeds.g6"
+    out = tmp_path / "out.g6"
+    code, _, err = run(
+        ["enumerate", "--k", "5", "--forbid", "p5", "--seed", str(seeds),
+         "--max-order", "7", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: --seed {seeds} is neither an existing file nor a pattern: "
+        "expected 'p', 'c', 'k' or 'co(' (at position 0)"]
+    assert not out.exists()
+
+
 def test_enumerate_auto_validation(tmp_path, capsys):
     out = tmp_path / "x.g6"
     code, _, err = run(

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from critenum import (
+    Graph,
     chromatic_number,
     clique_number,
     complement,
@@ -10,7 +11,6 @@ from critenum import (
     cycle,
     delete_edge,
     delete_vertex,
-    empty_graph,
     is_k_colorable,
 )
 from oracles import naive_chromatic, random_graph
@@ -34,8 +34,6 @@ def test_chromatic_examples():
     assert chromatic_number(complement(cycle(7))) == 4
     # C5 joined to K2: the unique 7-vertex graph of interest
     g = complement(cycle(5))
-    from critenum import Graph
-
     rows = list(g.rows) + [0, 0]
     for v in range(5):
         rows[v] |= (1 << 5) | (1 << 6)
@@ -48,17 +46,17 @@ def test_chromatic_examples():
 
 
 def test_empty_conventions():
-    assert chromatic_number(empty_graph(0)) == 0
-    assert chromatic_number(empty_graph(5)) == 1
-    assert is_k_colorable(empty_graph(0), 0) is not None
-    assert is_k_colorable(empty_graph(3), 0) is None
+    assert chromatic_number(Graph(0, ())) == 0
+    assert chromatic_number(Graph(5, (0,) * 5)) == 1
+    assert is_k_colorable(Graph(0, ()), 0) is not None
+    assert is_k_colorable(Graph(3, (0,) * 3), 0) is None
 
 
 def test_clique_number():
     assert clique_number(cycle(5)) == 2
     assert clique_number(complement(cycle(9))) == 4
     assert clique_number(complete(5)) == 5
-    assert clique_number(empty_graph(0)) == 0
+    assert clique_number(Graph(0, ())) == 0
 
 
 def test_clique_bound_and_exactness():

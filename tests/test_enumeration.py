@@ -19,7 +19,6 @@ from critenum import (
     default_max_order_for,
     enumerate_5vc,
     find_comparable_pair,
-    find_obligations,
     find_xy_obstruction,
     induced_subgraph,
     is_family_free,
@@ -34,7 +33,7 @@ from critenum import (
 )
 import critenum.enumeration
 from critenum.canon import canonical_key
-from critenum.enumeration import _allowed_free_extensions
+from critenum.enumeration import _allowed_free_extensions, find_obligations
 from critenum.patterns import forbidden_traces, free_extension_masks
 from oracles import (
     all_graphs,
@@ -102,7 +101,7 @@ def test_outputs_reverify(h):
         assert is_family_free(g, family)
         assert is_k_vertex_critical(g, 5).is_vertex_critical
         assert find_comparable_pair(g) is None
-        assert find_xy_obstruction(g, 2) is None
+        assert find_xy_obstruction(g) is None
         forms.add(canonical_form(g))
     assert len(forms) == len(res.graphs)
 
