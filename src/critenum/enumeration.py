@@ -19,12 +19,28 @@ The children of a parent are filtered for all 2^n candidate neighborhoods
 at once, and every rule enters the filter the same way: as forbidden
 traces.  A trace (C, A) forbids the neighborhoods s with ``s & C == A``.
 Freeness gives the traces of :func:`patterns.forbidden_traces`; the two
-pruning rules below add theirs.  :func:`patterns.free_extension_masks`
-holds a set of neighborhoods as an int of 2^n bits, bit s standing for s,
-so the cube a trace forbids is an AND of |C| per-vertex bitmaps ("s
-contains v", or its complement) and the forbidden set is the OR of the
-cubes.  The allowed masks are the set bits of what remains, read in
-ascending order: the list the per-mask test gave.
+pruning rules below add theirs.  :func:`patterns.forbidden_bitmap` holds
+a set of neighborhoods as an int of 2^n bits, bit s standing for s, so
+the cube a trace forbids is an AND of |C| per-vertex bitmaps ("s contains
+v", or its complement) and the forbidden set is the OR of the cubes.  The
+allowed masks are the clear bits of the result, read in ascending order by
+:func:`patterns.set_bits`: the list the per-mask test gave.
+
+A node's freeness bitmap F, the neighborhoods that the family (with K_k,
+see below) forbids, is built on its parent's, which the node carries.  A
+child g of order n is its parent p plus vertex n - 1, and p is g less
+that vertex, so the traces of g are those of p and those through n - 1
+(:func:`patterns.traces_through`).  A trace (C, A) of p has C below n - 1,
+so whether s & C == A does not depend on bit n - 1 of s: its cube in 2^n
+bits is its cube in 2^(n-1) bits twice over, and F of p becomes
+``F | F << 2^(n-1)`` exactly.  The obligation traces of a node belong to
+that node alone: they are ORed into what it filters with, never into the
+F its children inherit.  Seeds have no parent and compute F from scratch,
+and so does a node of order k under pruning, because K_k joins the family
+there and its parent's F, of order k - 1, lacks the K_k traces.  Each
+expanded node returns its F once, and the next level holds it by
+reference in every child's entry, so a level keeps one int of 2^(n-1)
+bits per distinct parent: 512 bytes at n = 13, 256 KB at n = 22.
 
 Pruning rests on one fact about any vertex-critical completion G of the
 working graph I: G contains no comparable vertices and, more generally, no
@@ -102,11 +118,13 @@ from .graphs import (
 )
 from .patterns import (
     Pattern,
+    forbidden_bitmap,
     forbidden_traces,
     free_after_extension,  # not called here; the benchmark's tracer patches this name
-    free_extension_masks,
     is_family_free,
     parse_pattern,
+    set_bits,
+    traces_through,
 )
 
 
@@ -154,29 +172,52 @@ _TRUNCATED = 2  # chi < k at the order cap: open branch
 _EXPAND = 3
 
 
-def _process_node(node: tuple[Graph, list[bytes]], cfg: SearchConfig):
-    """The node's outcome, and for ``_EXPAND`` its children, each with its canonical key."""
-    g, autos = node
+def _process_node(node: tuple[Graph, list[bytes], int | None], cfg: SearchConfig):
+    """The node's outcome, and for ``_EXPAND`` its children, each with its
+    canonical key, and the node's freeness bitmap, which they inherit."""
+    g, autos, inherited = node
     k = cfg.k
     if is_k_colorable(g, k - 1) is None:
-        return (_OUT, None) if noncritical_vertex(g, k) is None else (_DEAD, None)
+        return (_OUT, None, None) if noncritical_vertex(g, k) is None else (_DEAD, None, None)
     if g.n >= cfg.max_order:
-        return (_TRUNCATED, None)
-    return (_EXPAND, [(c, *canonical_key(c)) for c in _allowed_free_extensions(g, cfg, autos)])
+        return (_TRUNCATED, None, None)
+    free = _freeness_bitmap(g, cfg, inherited)
+    children = _allowed_free_extensions(g, cfg, autos, free)
+    return (_EXPAND, [(c, *canonical_key(c)) for c in children], free)
 
 
-def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes]) -> list[Graph]:
-    """The children of ``g`` to search: allowed, and one per orbit of ``autos``."""
+def _freeness_bitmap(g: Graph, cfg: SearchConfig, inherited: int | None) -> int:
+    """The neighborhoods of a new vertex that the family forbids, as a bitmap.
+
+    With pruning on and ``g.n >= k``, K_k is in the family.  ``inherited``
+    is the bitmap of the parent, g less its last vertex, or None to
+    compute the bitmap from scratch.
+    """
     family = cfg.family
-    if cfg.pruning and g.n >= cfg.k:  # a child on a (k-1)-clique properly contains K_k
+    n = g.n
+    if cfg.pruning and n >= cfg.k:  # a child on a (k-1)-clique properly contains K_k
         family += (complete(cfg.k),)
-    traces = forbidden_traces(g, family)
+        if n == cfg.k:  # K_k was not in the parent's family
+            inherited = None
+    if inherited is None:
+        return forbidden_bitmap(forbidden_traces(g, family), n)
+    through: dict[VertexSet, set[VertexSet]] = {}
+    traces_through(g, family, n - 1, through)
+    return inherited | inherited << (1 << (n - 1)) | forbidden_bitmap(through, n)
+
+
+def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes],
+                             free: int) -> list[Graph]:
+    """The children of ``g`` to search: allowed, and one per orbit of ``autos``.
+
+    ``free`` is the freeness bitmap of ``g`` (:func:`_freeness_bitmap`).
+    """
+    forbidden = free
     ob = find_obligations(g) if cfg.pruning else None
     if ob is not None:  # the new vertex meets x: not (x, 0); it misses part of y: not (y, y)
         x, y = ob
-        traces.setdefault(x, set()).add(0)
-        traces.setdefault(y, set()).add(y)
-    allowed = free_extension_masks(traces, g.n)
+        forbidden |= forbidden_bitmap({x: {0}, y: {y}}, g.n)
+    allowed = set_bits(((1 << (1 << g.n)) - 1) ^ forbidden)
     return [add_vertex_with_neighborhood(g, s) for s in _orbit_least(allowed, autos)]
 
 
@@ -250,25 +291,26 @@ def recursively_enumerate(
     process = partial(_process_node, cfg=cfg)
     try:
         # the first graph of each class, with the automorphisms its search found
-        level: dict[int, tuple[Graph, list[bytes]]] = {}
+        # and its parent's freeness bitmap, shared by its siblings
+        level: dict[int, tuple[Graph, list[bytes], int | None]] = {}
         for order in range(min(seeds_at, default=1), cfg.max_order + 1):
             for seed in seeds_at.get(order, []):
                 key, autos = canonical_key(seed)
-                level.setdefault(key, (seed, autos))
+                level.setdefault(key, (seed, autos, None))
             if not level:
                 continue
             outcomes = (map(process, level.values()) if pool is None else
                         pool.imap(process, level.values(), max(1, len(level) // (jobs * 4))))
             visited += len(level)
-            upper: dict[int, tuple[Graph, list[bytes]]] = {}
-            for (key, (g, _)), (kind, children) in zip(level.items(), outcomes):
+            upper: dict[int, tuple[Graph, list[bytes], int | None]] = {}
+            for (key, (g, _, _)), (kind, children, free) in zip(level.items(), outcomes):
                 if kind == _OUT:
                     emitted.append((g, form_of_key(order, key)))
                 elif kind == _TRUNCATED:
                     open_nodes += 1
                 elif kind == _EXPAND:
                     for child, child_key, child_autos in children:
-                        upper.setdefault(child_key, (child, child_autos))
+                        upper.setdefault(child_key, (child, child_autos, free))
             if progress is not None:
                 progress(order, len(level))
             level = upper

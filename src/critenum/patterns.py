@@ -18,10 +18,22 @@ family-free g, a pattern P and one representative r of each automorphism
 orbit of P, every induced copy of P - r in g is a trace (C, A): its image C
 and the image A of N_P(r).  g plus a new vertex with neighborhood s is
 family-free iff s & C != A for every trace (:func:`forbidden_traces` says
-why).  Swapping two twins of P gives the same trace, so the embeddings
-are enumerated up to such swaps.
-:func:`free_extension_masks` applies the traces to all 2^n candidate
-neighborhoods at once, as bitmaps indexed by the neighborhood.
+why).
+
+There is one trace search, anchored at a host vertex v:
+:func:`traces_through` finds the traces whose image contains v and lies
+in the vertices <= v.  So the traces of g are the union over its
+vertices, and g plus a new highest vertex v has the traces of g and the
+traces through v.
+The search places one vertex a of P - r at v first.  One a per orbit of
+the stabilizer of r in Aut(P) is enough, since such an automorphism keeps
+every trace, and the embeddings are enumerated up to swaps of twins of P,
+each twin class mapped to decreasing host vertices.  For P5, K1,3+P1,
+K1,4+P1 and co(K3+2P1) each trace then comes from exactly one embedding.
+
+:func:`forbidden_bitmap` applies traces to all 2^n candidate
+neighborhoods at once, as a bitmap indexed by the neighborhood, and
+:func:`set_bits` reads the neighborhoods back in ascending order.
 """
 
 from __future__ import annotations
@@ -191,13 +203,12 @@ def embedding_is_induced(host: Graph, pattern: PatternLike, emb: Embedding) -> b
     return True
 
 
-def _match_order(pg: Graph, anchor: int | None) -> tuple[int, ...]:
-    """Assignment order: anchor first, then by placed-neighbor count and degree."""
-    order = []
+def _match_order(pg: Graph, pinned: tuple[int, ...]) -> tuple[int, ...]:
+    """Assignment order: the pinned vertices first, then by placed-neighbor count and degree."""
+    order = list(pinned)
     placed = 0
-    if anchor is not None:
-        order.append(anchor)
-        placed = 1 << anchor
+    for v in pinned:
+        placed |= 1 << v
     while len(order) < pg.n:
         pick = -1
         best = (-1, -1)
@@ -214,8 +225,8 @@ def _match_order(pg: Graph, anchor: int | None) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=512)
-def _match_plan(pg: Graph, anchor: int | None):
-    order = _match_order(pg, anchor)
+def _match_plan(pg: Graph, pinned: tuple[int, ...]):
+    order = _match_order(pg, pinned)
     prev = []
     for s, v in enumerate(order):
         prev.append(tuple((t, bool((pg.rows[v] >> order[t]) & 1)) for t in range(s)))
@@ -235,15 +246,16 @@ def _degree_masks(host: Graph, thresholds: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _search(host: Graph, pg: Graph, anchor_pvert: int | None, anchor_hvert: int | None):
+def _search(host: Graph, pg: Graph, pinned: tuple[int, ...], images: tuple[int, ...]):
+    """The first induced embedding of ``pg`` into ``host`` that maps ``pinned`` onto ``images``."""
     if pg.n > host.n:
         return None
-    order, prev, degs = _match_plan(pg, anchor_pvert)
+    order, prev, degs = _match_plan(pg, pinned)
     degmasks = _degree_masks(host, degs)
-    if anchor_hvert is not None:
-        if not (degmasks[0] >> anchor_hvert) & 1:
+    for s, h in enumerate(images):
+        if not (degmasks[s] >> h) & 1:
             return None
-        degmasks[0] = 1 << anchor_hvert
+        degmasks[s] = 1 << h
     hrows = host.rows
     pn = pg.n
     assigned = [-1] * pn
@@ -276,7 +288,7 @@ def _search(host: Graph, pg: Graph, anchor_pvert: int | None, anchor_hvert: int 
 
 def find_induced(host: Graph, pattern: PatternLike) -> Embedding | None:
     """Some induced embedding of ``pattern`` into ``host``, or None."""
-    return _search(host, _pattern_graph(pattern), None, None)
+    return _search(host, _pattern_graph(pattern), (), ())
 
 
 def is_family_free(host: Graph, family: Iterable[PatternLike]) -> bool:
@@ -289,11 +301,11 @@ def _anchor_roles(pg: Graph) -> tuple[int, ...]:
     """The least vertex of each automorphism orbit of the pattern.
 
     An induced embedding of P into itself is an automorphism, so v lies in
-    the orbit of r exactly when the search anchored at r -> v succeeds.
+    the orbit of r exactly when the search pinned at r -> v succeeds.
     """
     roles: list[int] = []
     for v in range(pg.n):
-        if all(_search(pg, pg, r, v) is None for r in roles):
+        if all(_search(pg, pg, (r,), (v,)) is None for r in roles):
             roles.append(v)
     return tuple(roles)
 
@@ -302,67 +314,79 @@ def free_after_extension(host: Graph, family: Iterable[PatternLike], new_vertex:
     """Freeness of ``host`` given it was family-free before ``new_vertex`` was added.
 
     Only embeddings through the new vertex can exist, so each pattern is
-    searched anchored at one representative of every automorphism orbit.
+    searched pinned at one representative of every automorphism orbit.
     """
     for p in family:
         pg = _pattern_graph(p)
         for role in _anchor_roles(pg):
-            if _search(host, pg, role, new_vertex) is not None:
+            if _search(host, pg, (role,), (new_vertex,)) is not None:
                 return False
     return True
 
 
 @lru_cache(maxsize=512)
-def _trace_plans(pg: Graph) -> tuple[tuple[Graph, VertexSet, tuple[int, ...]], ...]:
-    """P - r, N_P(r) and the twin steps, for each orbit representative r.
+def _stabilizer_anchors(pg: Graph, r: int) -> tuple[int, ...]:
+    """The least vertex of each orbit of the stabilizer of ``r`` in Aut(P) on P - r.
 
-    P - r is renumbered as in :func:`delete_vertex`.  The twin steps give,
-    for each step of its match order, the latest earlier step that places
-    a twin in P of the same vertex (see :func:`forbidden_traces`), or -1.
+    Some automorphism fixes r and maps a to u exactly when the search
+    pinned at r -> r and a -> u succeeds.
+    """
+    anchors: list[int] = []
+    for u in range(pg.n):
+        if u != r and all(_search(pg, pg, (r, a), (r, u)) is None for a in anchors):
+            anchors.append(u)
+    return tuple(anchors)
+
+
+@lru_cache(maxsize=512)
+def _anchored_plans(pg: Graph) -> tuple[tuple[tuple, tuple[int, ...], tuple[int, ...]], ...]:
+    """One search plan of P - r per orbit representative r and anchor a of its stabilizer.
+
+    Each plan follows the match order of P - r that places a first and
+    gives, per step: the earlier steps with whether they are adjacent, whether
+    the vertex is in N_P(r), and the latest earlier step that places a twin
+    in P of the same vertex (see :func:`forbidden_traces`), or -1.
     """
     plans = []
     for r in _anchor_roles(pg):
-        rest = delete_vertex(pg, r)
+        rest = delete_vertex(pg, r)  # vertices above r shift down by one
         nbrs = pg.rows[r]
         nbrs = (nbrs & ((1 << r) - 1)) | ((nbrs >> (r + 1)) << r)
         rows = rest.rows
-        order = _match_plan(rest, None)[0]
-        before = []
-        for s, u in enumerate(order):
-            twins = [t for t in range(s)
-                     if rows[u] & ~(1 << order[t]) == rows[order[t]] & ~(1 << u)
-                     and (nbrs >> u & 1) == (nbrs >> order[t] & 1)]
-            before.append(twins[-1] if twins else -1)
-        plans.append((rest, nbrs, tuple(before)))
+        for a in _stabilizer_anchors(pg, r):
+            order, prev, _ = _match_plan(rest, (a - (a > r),))
+            before = []
+            for s, u in enumerate(order):
+                twins = [t for t in range(s)
+                         if rows[u] & ~(1 << order[t]) == rows[order[t]] & ~(1 << u)
+                         and (nbrs >> u & 1) == (nbrs >> order[t] & 1)]
+                before.append(twins[-1] if twins else -1)
+            plans.append((prev, tuple(nbrs >> u & 1 for u in order), tuple(before)))
     return tuple(plans)
 
 
-def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet, before: tuple[int, ...],
-                    out: dict[VertexSet, set[VertexSet]]) -> None:
-    """Add the trace (image, image of ``nbrs``) of the induced embeddings of ``pg``.
+def _collect_through(host: Graph, v: int, plan, out: dict[VertexSet, set[VertexSet]]) -> None:
+    """Add the trace of each embedding of the plan whose anchor maps to v and the rest below v.
 
-    Only the embeddings that map each step s to a host vertex above the one
-    of step ``before[s]`` are enumerated.
+    Only the embeddings that map each step s below the host vertex of step
+    ``before[s]`` are enumerated.
     """
-    pn = pg.n
-    if pn > host.n:
+    prev, marked, before = plan
+    pn = len(prev)
+    if pn > v + 1:
         return
-    if pn == 0:
-        out.setdefault(0, set()).add(0)
-        return
-    order, prev, _ = _match_plan(pg, None)
-    free = (1 << host.n) - 1
-    marked = [(nbrs >> v) & 1 for v in order]
+    top = 1 << v
+    below = top - 1
     hrows = host.rows
-    placed = [0] * pn  # host row of the vertex placed at each step
-    chosen = [0] * pn  # its bit
+    placed = [hrows[v]] * pn  # host row of the vertex placed at each step
+    chosen = [top] * pn  # its bit
     last = pn - 1
 
-    def dfs(s: int, used: int, a: int) -> None:
-        cand = free ^ used
+    def dfs(s: int, used: int, a: int) -> None:  # used: the image below v
+        cand = below ^ used
         t = before[s]
-        if t >= 0:  # above the twin placed at step t
-            cand &= -(chosen[t] << 1)
+        if t >= 0:  # below the twin placed at step t
+            cand &= chosen[t] - 1
         for t, is_edge in prev[s]:
             cand &= placed[t] if is_edge else ~placed[t]
             if not cand:
@@ -372,7 +396,7 @@ def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet, before: tuple[int, 
             while cand:
                 b = cand & -cand
                 cand ^= b
-                out.setdefault(used | b, set()).add(a | b if mark else a)
+                out.setdefault(used | b | top, set()).add(a | b if mark else a)
             return
         while cand:
             b = cand & -cand
@@ -381,7 +405,23 @@ def _collect_traces(host: Graph, pg: Graph, nbrs: VertexSet, before: tuple[int, 
             chosen[s] = b
             dfs(s + 1, used | b, a | b if mark else a)
 
-    dfs(0, 0, 0)
+    a = top if marked[0] else 0
+    if pn == 1:
+        out.setdefault(top, set()).add(a)
+    else:
+        dfs(1, 0, a)
+
+
+def traces_through(g: Graph, family: Iterable[PatternLike], v: int,
+                   out: dict[VertexSet, set[VertexSet]]) -> None:
+    """Add to ``out`` the forbidden traces (C, A) of ``g`` with v in C and C within 0..v.
+
+    These are the traces that ``g`` has and ``g`` less the vertices above v
+    lacks; see :func:`forbidden_traces`.
+    """
+    for p in family:
+        for plan in _anchored_plans(_pattern_graph(p)):
+            _collect_through(g, v, plan, out)
 
 
 def forbidden_traces(g: Graph, family: Iterable[PatternLike]) -> dict[VertexSet, set[VertexSet]]:
@@ -399,22 +439,37 @@ def forbidden_traces(g: Graph, family: Iterable[PatternLike]) -> dict[VertexSet,
     * the rest of the copy is an induced copy of P - r with some image C,
       and v extends it to an induced P exactly when ``s & C == A``.
 
-    Not every embedding of P - r is enumerated.  Call u, w in P - r twins
-    when they are twins in P: N_P(u) - w = N_P(w) - u, so both are in
-    N_P(r) or both are not.  Then the swap (u w) is an automorphism of P
-    that fixes r, and an embedding f and f composed with (u w) have the
-    same image and the same image of N_P(r): the same trace.  Being twins
-    is an equivalence relation, and the swaps within its classes generate
-    every permutation of each class, so each embedding has an equivalent
-    one that maps each class to increasing host vertices, in the order the
-    search places them.  Only those are enumerated, and the traces are
-    the same sets.  For K_{1,3}+P1, K_{1,4}+P1 and co(K3+2P1) every trace
-    then comes from one embedding, against up to 6, 24 and 6 before.
+    The traces are found by one anchored search, :func:`traces_through`,
+    run for each vertex h of ``g``: it takes the embeddings whose image
+    contains h and lies in the vertices <= h, so every nonempty image is
+    reached once, at its highest vertex.  (P1 - r is empty; its one trace
+    (0, 0) contains no vertex and is added here.)  An automorphism of P
+    that fixes r keeps every trace, so the search need not try every
+    vertex of P - r at h: the least vertex a of each orbit of the
+    stabilizer of r, placed first, is enough (f composed with the
+    automorphism that takes a to f^-1(h) maps a to h).  For P5 minus its
+    middle vertex, 2P2, that is 2 anchors against 4 twin classes: the
+    reflection fixes r and swaps the two end pairs.
+
+    Within a plan, not every embedding is enumerated either.  Call u, w in
+    P - r twins when they are twins in P: N_P(u) - w = N_P(w) - u, so both
+    are in N_P(r) or both are not.  Then the swap (u w) is an automorphism
+    of P that fixes r, and an embedding f and f composed with (u w) have
+    the same image and the same image of N_P(r): the same trace.  Being
+    twins is an equivalence relation, and the swaps within its classes
+    generate every permutation of each class, so each embedding has an
+    equivalent one that maps each class to decreasing host vertices, in
+    the order the search places them.  Sorting keeps a at h, since the
+    anchor is placed first and h is the highest vertex of the image.  Only
+    those embeddings are enumerated, and the traces are the same sets.
+    For P5, K_{1,3}+P1, K_{1,4}+P1 and co(K3+2P1) every trace then comes
+    from exactly one embedding.
     """
     out: dict[VertexSet, set[VertexSet]] = {}
-    for p in family:
-        for rest, nbrs, before in _trace_plans(_pattern_graph(p)):
-            _collect_traces(g, rest, nbrs, before, out)
+    if any(_pattern_graph(p).n == 1 for p in family):
+        out[0] = {0}
+    for v in range(g.n):
+        traces_through(g, family, v, out)
     return out
 
 
@@ -434,8 +489,8 @@ def _vertex_bitmaps(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sides)
 
 
-def free_extension_masks(traces: dict[VertexSet, set[VertexSet]], n: int) -> list[VertexSet]:
-    """The neighborhoods s < 2^n that no trace ``(C, A)`` forbids, ascending.
+def forbidden_bitmap(traces: dict[VertexSet, set[VertexSet]], n: int) -> int:
+    """The neighborhoods s < 2^n that some trace ``(C, A)`` forbids, as a bitmap.
 
     Sets of neighborhoods are ints whose bit s stands for s, and X_v is the
     set of the s that contain v.  The trace (C, A) forbids the cube of the
@@ -456,7 +511,12 @@ def free_extension_masks(traces: dict[VertexSet, set[VertexSet]], n: int) -> lis
             for v in members:
                 cube &= sides[v][a >> v & 1]
             forbidden |= cube
-    text = bin(ones ^ forbidden)[:1:-1]  # text[s] is bit s
+    return forbidden
+
+
+def set_bits(bitmap: int) -> list[int]:
+    """The positions of the set bits of ``bitmap``, ascending."""
+    text = bin(bitmap)[:1:-1]  # text[s] is bit s
     out = []
     s = text.find("1")
     while s >= 0:

@@ -33,8 +33,8 @@ from critenum import (
 )
 import critenum.enumeration
 from critenum.canon import canonical_key
-from critenum.enumeration import _allowed_free_extensions, find_obligations
-from critenum.patterns import forbidden_traces, free_extension_masks
+from critenum.enumeration import _allowed_free_extensions, _freeness_bitmap, find_obligations
+from critenum.patterns import forbidden_bitmap, forbidden_traces, set_bits
 from oracles import (
     all_graphs,
     brute_automorphisms,
@@ -47,6 +47,11 @@ P5 = parse_pattern("p5")
 H13 = parse_pattern("k1,3+p1")
 H14 = parse_pattern("k1,4+p1")
 HCO = parse_pattern("co(k3+2p1)")
+
+
+def _children(g, cfg, autos=(), inherited=None):
+    """The children ``g`` gets in the search, its freeness bitmap built on ``inherited``."""
+    return _allowed_free_extensions(g, cfg, autos, _freeness_bitmap(g, cfg, inherited))
 
 
 def test_one_vertex_extensions_counts():
@@ -162,12 +167,11 @@ def test_obligation_filters_children():
     breaking = add_vertex_with_neighborhood(host, {v})
     neutral = add_vertex_with_neighborhood(host, 0)  # leaves the pair comparable
     family = (parse_pattern("k4"),)  # every one-vertex extension of K1,3 is K4-free
-    pruned = _allowed_free_extensions(host, SearchConfig(k=5, family=family, max_order=5), [])
+    pruned = _children(host, SearchConfig(k=5, family=family, max_order=5))
     assert fixing in pruned
     assert breaking not in pruned and neutral not in pruned
     assert all(c.rows[4] & x and y & ~c.rows[4] for c in pruned)
-    unpruned = _allowed_free_extensions(
-        host, SearchConfig(k=5, family=family, max_order=5, pruning=False), [])
+    unpruned = _children(host, SearchConfig(k=5, family=family, max_order=5, pruning=False))
     assert unpruned == list(one_vertex_extensions(host))
 
 
@@ -211,7 +215,7 @@ def test_children_merge_before_seeds_of_their_order():
     # graph of its class nor anything searched from it.
     seed = complement(cycle(5))
     cfg = SearchConfig(k=5, family=(P5, HCO), max_order=9, seeds=(seed,))
-    child = _allowed_free_extensions(seed, cfg, canonical_key(seed)[1])[3]
+    child = _children(seed, cfg, canonical_key(seed)[1])[3]
     relabelled = permuted(child, [5, 3, 0, 4, 1, 2])
     assert relabelled != child and are_isomorphic(relabelled, child)
     alone = recursively_enumerate(cfg)
@@ -281,9 +285,9 @@ def test_clique_rule_drops_only_dead_children(k, family):
     dropped_total = 0
     for g in _random_parents(rng, family, k, 12):
         ob = find_obligations(g)
-        unfiltered = [s for s in free_extension_masks(forbidden_traces(g, family), g.n)
-                      if _repairs(s, ob)]
-        kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, [])]
+        free = forbidden_bitmap(forbidden_traces(g, family), g.n)
+        unfiltered = [s for s in set_bits(((1 << (1 << g.n)) - 1) ^ free) if _repairs(s, ob)]
+        kept = [c.rows[g.n] for c in _children(g, cfg)]
         dropped = [s for s in unfiltered if clique_number(induced_subgraph(g, s)) >= k - 1]
         assert kept == [s for s in unfiltered if s not in dropped]
         for s in dropped:
@@ -301,15 +305,20 @@ def test_clique_rule_keeps_k5_from_k4_seed():
     assert [canonical_form(g) for g in res.graphs] == [canonical_form(complete(5))]
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_clique_rule_small_k_matches_no_prune(k):
+@pytest.mark.parametrize("k, counts, nodes", [(2, {2: 1}, 3),  # K2
+                                              (3, {3: 1, 5: 1}, 12),  # K3 and C5
+                                              (4, {4: 1, 6: 1, 7: 7}, 84)],
+                         ids=["2", "3", "4"])
+def test_clique_rule_small_k_matches_no_prune(k, counts, nodes):
+    # K_k joins the family at order k, so a child of order k does not inherit
+    # its parent's freeness bitmap; reusing it there visits 4, 13 and 87 nodes
     on = recursively_enumerate(SearchConfig(k=k, family=(P5,), max_order=7,
                                             seeds=(complete(1),)))
     off = recursively_enumerate(SearchConfig(k=k, family=(P5,), max_order=7,
                                              seeds=(complete(1),), pruning=False))
     assert [canonical_form(g) for g in on.graphs] == [canonical_form(g) for g in off.graphs]
-    assert on.per_order_counts == ({2: 1} if k == 2 else {3: 1, 5: 1})  # K2; K3 and C5
-    assert on.nodes_visited < off.nodes_visited
+    assert on.per_order_counts == counts
+    assert on.nodes_visited == nodes < off.nodes_visited
 
 
 @pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-prune"])
@@ -334,7 +343,13 @@ def test_child_filter_against_per_child_oracle(k, family, pruning):
             if pruning and ((g.n >= k and clique_number(child) >= k) or not _repairs(s, ob)):
                 continue
             expected.append(s)
-        kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, [])]
+        kept = [c.rows[g.n] for c in _children(g, cfg)]
+        assert kept == expected, (g, ob)
+        # g reached as its parent, g less its last vertex, plus that vertex
+        parent = induced_subgraph(g, (1 << (g.n - 1)) - 1)
+        inherited = _freeness_bitmap(parent, cfg, None)
+        assert _freeness_bitmap(g, cfg, inherited) == _freeness_bitmap(g, cfg, None), g
+        kept = [c.rows[g.n] for c in _children(g, cfg, inherited=inherited)]
         assert kept == expected, (g, ob)
     if pruning:  # the parents exercise each rule
         assert any(find_obligations(g) for g in parents)
@@ -355,12 +370,12 @@ def test_children_one_per_automorphism_orbit(pruning):
             parents.append(g)
     dropped = 0
     for g in parents:
-        allowed = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, [])]
+        allowed = [c.rows[g.n] for c in _children(g, cfg)]
         autos = brute_automorphisms(g)
         orbits = [{sum(1 << a[v] for v in range(g.n) if s >> v & 1) for a in autos}
                   for s in allowed]
         least = [s for s, orbit in zip(allowed, orbits) if min(orbit & set(allowed)) == s]
-        kept = [c.rows[g.n] for c in _allowed_free_extensions(g, cfg, canonical_key(g)[1])]
+        kept = [c.rows[g.n] for c in _children(g, cfg, canonical_key(g)[1])]
         assert kept == least
         dropped += len(allowed) - len(kept)
     assert dropped > 0

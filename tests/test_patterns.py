@@ -21,7 +21,13 @@ from critenum import (
     parse_pattern,
     path,
 )
-from critenum.patterns import _anchor_roles, forbidden_traces, free_extension_masks
+from critenum.patterns import (
+    _anchor_roles,
+    forbidden_bitmap,
+    forbidden_traces,
+    set_bits,
+    traces_through,
+)
 from oracles import brute_forbidden_traces, random_graph, scan_extension_masks, scan_induced
 
 
@@ -148,13 +154,18 @@ def _random_free_graph(rng, n, family):
             return g
 
 
+def _allowed(traces, n):
+    """The neighborhoods s < 2^n that no trace forbids, ascending."""
+    return set_bits(((1 << (1 << n)) - 1) ^ forbidden_bitmap(traces, n))
+
+
 def test_forbidden_traces_differential():
     rng = random.Random(53)
     for name in ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)", "c5", "2p2"]:
         family = [parse_pattern(name)]
         for n in range(10):
             g = _random_free_graph(rng, n, family)
-            allowed = set(free_extension_masks(forbidden_traces(g, family), n))
+            allowed = set(_allowed(forbidden_traces(g, family), n))
             for s in range(1 << n):
                 child = add_vertex_with_neighborhood(g, s)
                 free = is_family_free(child, family)
@@ -167,12 +178,12 @@ def test_forbidden_traces_edge_cases():
     p1 = [parse_pattern("p1")]
     # P1 - r is empty: its one trace (0, 0) forbids every extension
     assert forbidden_traces(Graph(0, ()), p1) == {0: {0}}
-    assert free_extension_masks(forbidden_traces(Graph(0, ()), p1), 0) == []
+    assert _allowed(forbidden_traces(Graph(0, ()), p1), 0) == []
     big = [parse_pattern("k1,4+p1")]  # 6 vertices
     for n in range(5):
         g = _random_free_graph(rng, n, big)
         assert forbidden_traces(g, big) == {}
-        assert free_extension_masks({}, n) == list(range(1 << n))
+        assert _allowed({}, n) == list(range(1 << n))
 
 
 @pytest.mark.parametrize("name", ["k1,4+p1", "co(k3+2p1)", "c4", "k4", "2p2", "p5"])
@@ -183,6 +194,38 @@ def test_forbidden_traces_equal_all_embeddings(name):
     for _ in range(40):
         g = _random_free_graph(rng, rng.randint(3, 10), family)
         assert forbidden_traces(g, family) == brute_forbidden_traces(g, family), (name, g)
+
+
+class _CountingTraces(dict):
+    """A trace dict that counts the embeddings the search reports into it."""
+
+    embeddings = 0
+
+    def setdefault(self, key, default=None):
+        self.embeddings += 1
+        return super().setdefault(key, default)
+
+
+@pytest.mark.parametrize("name", ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)"])
+def test_trace_search_reports_each_trace_once(name):
+    # one anchor per orbit of the stabilizer of r and one embedding per twin
+    # swap: no trace is found twice (P5 - middle vertex has one anchor per
+    # end pair, not per twin class)
+    rng = random.Random(20261023)
+    family = [parse_pattern(name)]
+    total = 0
+    for _ in range(30):
+        g = _random_free_graph(rng, rng.randint(4, 10), family)
+        union = {}
+        for v in range(g.n):
+            out = _CountingTraces()
+            traces_through(g, family, v, out)
+            assert all(c.bit_length() - 1 == v for c in out), (name, g, v)  # v is C's highest
+            assert out.embeddings == sum(len(images) for images in out.values()), (name, g, v)
+            union.update(out)
+            total += out.embeddings
+        assert union == forbidden_traces(g, family), (name, g)
+    assert total > 0
 
 
 def test_bitmap_filter_equals_per_mask_scan():
@@ -201,10 +244,10 @@ def test_bitmap_filter_equals_per_mask_scan():
             traces.setdefault(y, set()).add(y)
             allowed = [s for s in allowed if s & x and y & ~s]
             assert scan_extension_masks(traces, n) == allowed, (n, traces, x, y)
-        assert free_extension_masks(traces, n) == allowed, (n, traces)
-    assert free_extension_masks({}, 0) == [0] and free_extension_masks({0: {0}}, 1) == []
-    assert free_extension_masks({1: {1}}, 1) == [0]
-    assert free_extension_masks({1: {0, 1}}, 1) == []  # s must meet and miss vertex 0
+        assert _allowed(traces, n) == allowed, (n, traces)
+    assert _allowed({}, 0) == [0] and _allowed({0: {0}}, 1) == []
+    assert _allowed({1: {1}}, 1) == [0]
+    assert _allowed({1: {0, 1}}, 1) == []  # s must meet and miss vertex 0
 
 
 def _brute_orbit_minima(g):
