@@ -232,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exhaustively generate k-vertex-critical family-free graphs.  The closing "
                     "'nodes visited' count is the number of distinct graphs (one per "
                     "isomorphism class) the search classified as critical, dead, truncated "
-                    "or expanded.  Unless --no-prune is given, children that properly "
-                    "contain K_k are never built, so they are not counted.")
+                    "or expanded.  Unless --no-prune is given, each parent classifies "
+                    "its children, and a dead child (chromatic number k, not critical) "
+                    "is never built, so it is not counted.")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--forbid", action="append", default=[], metavar="DSL",
                    help="forbidden induced pattern (repeatable)")

@@ -45,8 +45,9 @@ def noncritical_vertex(g: Graph, k: int) -> int | None:
     k-vertex-critical.  A vertex of degree below k - 1 can always be
     deleted: any (k-1)-coloring of g - v would extend to v.  So the first
     vertex in degree order is returned untested when its degree is below
-    k - 1, and on the non-critical graphs the enumeration meets, the first
-    vertex tested is usually the answer.
+    k - 1.  The enumeration calls this only on seeds and, without pruning,
+    on every node of chromatic number k; with pruning, a parent decides
+    its children's criticality itself.
     """
     order = sorted(range(g.n), key=lambda u: g.rows[u].bit_count())
     if order and g.rows[order[0]].bit_count() < k - 1:

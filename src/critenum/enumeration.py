@@ -18,27 +18,25 @@ whichever seed or path reached it, and keeps the first graph of each class.
 The children of a parent are filtered for all 2^n candidate neighborhoods
 at once, and every rule enters the filter the same way: as forbidden
 traces.  A trace (C, A) forbids the neighborhoods s with ``s & C == A``.
-Freeness gives the traces of :func:`patterns.forbidden_traces`; the two
-pruning rules below add theirs.  :func:`patterns.forbidden_bitmap` holds
+Freeness gives the traces of :func:`patterns.forbidden_traces`; the
+pruning rule below adds its own.  :func:`patterns.forbidden_bitmap` holds
 a set of neighborhoods as an int of 2^n bits, bit s standing for s, so
 the cube a trace forbids is an AND of |C| per-vertex bitmaps ("s contains
 v", or its complement) and the forbidden set is the OR of the cubes.  The
 allowed masks are the clear bits of the result, read in ascending order by
 :func:`patterns.set_bits`: the list the per-mask test gave.
 
-A node's freeness bitmap F, the neighborhoods that the family (with K_k,
-see below) forbids, is built on its parent's, which the node carries.  A
-child g of order n is its parent p plus vertex n - 1, and p is g less
-that vertex, so the traces of g are those of p and those through n - 1
+A node's freeness bitmap F, the neighborhoods that the family forbids, is
+built on its parent's, which the node carries.  A child g of order n is
+its parent p plus vertex n - 1, and p is g less that vertex, so the traces
+of g are those of p and those through n - 1
 (:func:`patterns.traces_through`).  A trace (C, A) of p has C below n - 1,
 so whether s & C == A does not depend on bit n - 1 of s: its cube in 2^n
 bits is its cube in 2^(n-1) bits twice over, and F of p becomes
 ``F | F << 2^(n-1)`` exactly.  The obligation traces of a node belong to
 that node alone: they are ORed into what it filters with, never into the
-F its children inherit.  Seeds have no parent and compute F from scratch,
-and so does a node of order k under pruning, because K_k joins the family
-there and its parent's F, of order k - 1, lacks the K_k traces.  Each
-expanded node returns its F once, and the next level holds it by
+F its children inherit.  Seeds have no parent and compute F from scratch.
+Each expanded node returns its F once, and the next level holds it by
 reference in every child's entry, so a level keeps one int of 2^(n-1)
 bits per distinct parent: 512 bytes at n = 13, 256 KB at n = 22.
 
@@ -54,23 +52,39 @@ Every vertex-critical supergraph survives some addition order, so the
 output set is unchanged (the no-pruning run is the differential oracle for
 this).
 
-Pruning also never builds a child that contains K_k.  A new vertex whose
-neighborhood holds a (k-1)-clique of a parent with at least k vertices
-closes a K_k inside a child of at least k + 1 vertices.  Deleting a vertex
-outside that K_k keeps chi >= k, so the child is not critical, and the
-search would only classify it dead; no supergraph of it can be critical
-either.  The rule needs ``g.n >= k``: a parent of k - 1 vertices (K_{k-1}
-itself) has K_k as a child, and K_k is critical and must be emitted.  The
-rule adds K_k to the family whose traces are taken: K_k minus a vertex is
-K_{k-1}, all of it adjacent to the removed vertex, so its traces are the
-(C, C) of every (k-1)-clique C, each found once since the vertices of K_k
-are twins.  The traces are exact only for a parent free of every pattern,
-K_k included, and that holds: only parents of chromatic number below k are
-expanded.  It leaves the output bytes unchanged: containing K_k is an
-isomorphism invariant, so every copy of a dropped class is dropped, the
-children that remain keep their relative order, and each surviving class
-keeps the same first representative.  Only the count of nodes visited
-falls.
+Pruning also decides the kind of each kept child at its parent g, which
+is (k-1)-colorable, and never builds a dead child.  Let V be the vertices
+of g, I range over the independent sets of g (the empty one too), D(I) be
+the bitmap of the neighborhoods disjoint from I, and T the bitmap of the
+W within V with chi(g[W]) <= k - 2: T starts as the empty set alone, and
+each of k - 2 rounds sets ``T = OR over I of (T & D(I)) << I``, since a
+set colored with one more color is a colored set plus a disjoint
+independent set.
+
+* g + s, the child whose new vertex v has neighborhood s, is
+  (k-1)-colorable iff some I has ``I & s == 0`` and V - I in T.  Given a
+  coloring, I is the class of v less v, independent and disjoint from s,
+  and the other k - 2 classes color V - I.  Conversely v joins I and V - I
+  takes k - 2 other colors.  So the colorable children are the s in the
+  OR of D(I) over the I with V - I in T.
+* Otherwise g + s has chi = k (g is (k-1)-colorable and v takes one more
+  color).  It is critical iff g + s - x is (k-1)-colorable for every x.
+  For x = v that is g itself.  For u in V, the same argument in g - u:
+  g + s - u is (k-1)-colorable iff some I not containing u has
+  ``I & s == 0`` and V - u - I in T.  This is tested only for the kept
+  masks that are not colorable, few per parent, looping over the I
+  disjoint from s.
+
+A critical child is emitted without another test and a colorable one is
+expanded without a coloring search; a dead child (chi = k, not critical)
+is dropped before it is built, as no supergraph of it can be critical.
+Children that properly contain K_k are among the dead.  Seeds, and every
+node without pruning, are still classified at their node by the exact
+colorings, so the no-pruning run stays an independent oracle.  The
+output bytes are unchanged: deadness is an isomorphism invariant, so
+every copy of a dead class is dropped, the children that remain keep
+their relative order, and each surviving class keeps its first
+representative.  Only the count of nodes visited falls.
 
 A node's children are also deduplicated before they are built.  The
 canonical search that admitted the node found automorphisms of it, and
@@ -118,6 +132,7 @@ from .graphs import (
 )
 from .patterns import (
     Pattern,
+    _vertex_bitmaps,
     forbidden_bitmap,
     forbidden_traces,
     free_after_extension,  # not called here; the benchmark's tracer patches this name
@@ -169,36 +184,34 @@ def find_obligations(g: Graph) -> tuple[VertexSet, VertexSet] | None:
 _OUT = 0        # emitted as k-vertex-critical
 _DEAD = 1       # chi >= k but not critical: no supergraph can be critical
 _TRUNCATED = 2  # chi < k at the order cap: open branch
-_EXPAND = 3
+_EXPAND = 3     # chi < k: expanded unless at the order cap
 
 
-def _process_node(node: tuple[Graph, list[bytes], int | None], cfg: SearchConfig):
+def _process_node(node: tuple[Graph, list[bytes], int | None, int | None], cfg: SearchConfig):
     """The node's outcome, and for ``_EXPAND`` its children, each with its
-    canonical key, and the node's freeness bitmap, which they inherit."""
-    g, autos, inherited = node
-    k = cfg.k
-    if is_k_colorable(g, k - 1) is None:
-        return (_OUT, None, None) if noncritical_vertex(g, k) is None else (_DEAD, None, None)
+    canonical key and kind, and the node's freeness bitmap, which they inherit."""
+    g, autos, inherited, kind = node
+    if kind is None:  # a seed, or any node without pruning: classified here
+        if is_k_colorable(g, cfg.k - 1) is not None:
+            kind = _EXPAND
+        else:
+            kind = _OUT if noncritical_vertex(g, cfg.k) is None else _DEAD
+    if kind != _EXPAND:
+        return (kind, None, None)
     if g.n >= cfg.max_order:
         return (_TRUNCATED, None, None)
-    free = _freeness_bitmap(g, cfg, inherited)
+    free = _freeness_bitmap(g, cfg.family, inherited)
     children = _allowed_free_extensions(g, cfg, autos, free)
-    return (_EXPAND, [(c, *canonical_key(c)) for c in children], free)
+    return (_EXPAND, [(c, *canonical_key(c), c_kind) for c, c_kind in children], free)
 
 
-def _freeness_bitmap(g: Graph, cfg: SearchConfig, inherited: int | None) -> int:
-    """The neighborhoods of a new vertex that the family forbids, as a bitmap.
+def _freeness_bitmap(g: Graph, family: tuple[Pattern, ...], inherited: int | None) -> int:
+    """The neighborhoods of a new vertex that ``family`` forbids, as a bitmap.
 
-    With pruning on and ``g.n >= k``, K_k is in the family.  ``inherited``
-    is the bitmap of the parent, g less its last vertex, or None to
-    compute the bitmap from scratch.
+    ``inherited`` is the bitmap of the parent, g less its last vertex, or
+    None to compute the bitmap from scratch.
     """
-    family = cfg.family
     n = g.n
-    if cfg.pruning and n >= cfg.k:  # a child on a (k-1)-clique properly contains K_k
-        family += (complete(cfg.k),)
-        if n == cfg.k:  # K_k was not in the parent's family
-            inherited = None
     if inherited is None:
         return forbidden_bitmap(forbidden_traces(g, family), n)
     through: dict[VertexSet, set[VertexSet]] = {}
@@ -207,18 +220,76 @@ def _freeness_bitmap(g: Graph, cfg: SearchConfig, inherited: int | None) -> int:
 
 
 def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes],
-                             free: int) -> list[Graph]:
-    """The children of ``g`` to search: allowed, and one per orbit of ``autos``.
+                             free: int) -> list[tuple[Graph, int | None]]:
+    """The children of ``g`` to search, one per orbit of ``autos``, with their kinds.
 
     ``free`` is the freeness bitmap of ``g`` (:func:`_freeness_bitmap`).
+    With pruning, each child comes with its kind from :func:`_child_kinds`
+    and dead children are not built; without, every kind is None.
     """
     forbidden = free
     ob = find_obligations(g) if cfg.pruning else None
     if ob is not None:  # the new vertex meets x: not (x, 0); it misses part of y: not (y, y)
         x, y = ob
         forbidden |= forbidden_bitmap({x: {0}, y: {y}}, g.n)
-    allowed = set_bits(((1 << (1 << g.n)) - 1) ^ forbidden)
-    return [add_vertex_with_neighborhood(g, s) for s in _orbit_least(allowed, autos)]
+    kept = _orbit_least(set_bits(((1 << (1 << g.n)) - 1) ^ forbidden), autos)
+    kinds = _child_kinds(g, cfg.k, kept) if cfg.pruning else [None] * len(kept)
+    return [(add_vertex_with_neighborhood(g, s), kind)
+            for s, kind in zip(kept, kinds) if kind != _DEAD]
+
+
+def _child_kinds(g: Graph, k: int, masks: list[VertexSet]) -> list[int]:
+    """The outcome of g plus a vertex adjacent to s, for each s in ``masks``.
+
+    ``g`` must be (k-1)-colorable.  ``_EXPAND`` when the child is
+    (k-1)-colorable, else ``_OUT`` when it is k-vertex-critical, else
+    ``_DEAD``.  Decided from two tables of g by bit operations, with no
+    coloring search (see the module docstring).
+    """
+    n = g.n
+    full = (1 << n) - 1
+    sides = _vertex_bitmaps(n)
+    indep: list[tuple[VertexSet, int]] = []  # each independent set I, with D(I)
+
+    def grow(i: VertexSet, d: int, cand: VertexSet) -> None:
+        indep.append((i, d))
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            v = b.bit_length() - 1
+            grow(i | b, d & sides[v][0], cand & ~g.rows[v])
+
+    grow(0, (1 << (1 << n)) - 1, full)
+    t = 1 if k >= 2 else 0  # T: the W with chi(g[W]) <= k - 2; none when k = 1
+    for _ in range(k - 2):
+        grown = 0
+        for i, d in indep:
+            grown |= (t & d) << i
+        t = grown
+    colorable = 0  # the s with g + s (k-1)-colorable
+    for i, d in indep:
+        if t >> (full ^ i) & 1:
+            colorable |= d
+    kinds = []
+    for s in masks:
+        if colorable >> s & 1:
+            kinds.append(_EXPAND)
+            continue
+        need = full  # the u for which g + s - u is not yet shown (k-1)-colorable
+        for i, _ in indep:
+            if i & s:
+                continue
+            rest = full ^ i
+            u_set = need & rest
+            while u_set:
+                b = u_set & -u_set
+                u_set ^= b
+                if t >> (rest ^ b) & 1:
+                    need ^= b
+            if not need:
+                break
+        kinds.append(_DEAD if need else _OUT)
+    return kinds
 
 
 def _orbit_least(masks: list[VertexSet], autos: list[bytes]) -> list[VertexSet]:
@@ -290,27 +361,28 @@ def recursively_enumerate(
         pool = multiprocessing.get_context("fork").Pool(jobs)
     process = partial(_process_node, cfg=cfg)
     try:
-        # the first graph of each class, with the automorphisms its search found
-        # and its parent's freeness bitmap, shared by its siblings
-        level: dict[int, tuple[Graph, list[bytes], int | None]] = {}
+        # the first graph of each class, with the automorphisms its search found,
+        # its parent's freeness bitmap, shared by its siblings, and the kind its
+        # parent found for it (None: classified at the node)
+        level: dict[int, tuple[Graph, list[bytes], int | None, int | None]] = {}
         for order in range(min(seeds_at, default=1), cfg.max_order + 1):
             for seed in seeds_at.get(order, []):
                 key, autos = canonical_key(seed)
-                level.setdefault(key, (seed, autos, None))
+                level.setdefault(key, (seed, autos, None, None))
             if not level:
                 continue
             outcomes = (map(process, level.values()) if pool is None else
                         pool.imap(process, level.values(), max(1, len(level) // (jobs * 4))))
             visited += len(level)
-            upper: dict[int, tuple[Graph, list[bytes], int | None]] = {}
-            for (key, (g, _, _)), (kind, children, free) in zip(level.items(), outcomes):
+            upper: dict[int, tuple[Graph, list[bytes], int | None, int | None]] = {}
+            for (key, (g, _, _, _)), (kind, children, free) in zip(level.items(), outcomes):
                 if kind == _OUT:
                     emitted.append((g, form_of_key(order, key)))
                 elif kind == _TRUNCATED:
                     open_nodes += 1
                 elif kind == _EXPAND:
-                    for child, child_key, child_autos in children:
-                        upper.setdefault(child_key, (child, child_autos, free))
+                    for child, child_key, child_autos, child_kind in children:
+                        upper.setdefault(child_key, (child, child_autos, free, child_kind))
             if progress is not None:
                 progress(order, len(level))
             level = upper

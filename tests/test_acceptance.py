@@ -129,7 +129,7 @@ def test_criterion_3_full_enumeration_k13p1(name):
             "full tier gated behind CRITENUM_FULL=1 (~1 min). Known outcome: all "
             "344 graphs and every per-order count reproduce exactly, but "
             "complete=False - the scoped pruning rules (comparable pair, "
-            "|X|,|Y|<=2 obstruction, no child containing K5) cannot close the search the way the "
+            "|X|,|Y|<=2 obstruction, no dead child built) cannot close the search the way the "
             "original tooling's larger rule suite does; see the run report in "
             "the README and the decisions ledger."
         )

@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,6 @@ from critenum import (
     add_vertex_with_neighborhood,
     are_isomorphic,
     canonical_form,
-    chromatic_number,
-    clique_number,
     complement,
     complete,
     cycle,
@@ -33,8 +32,15 @@ from critenum import (
 )
 import critenum.enumeration
 from critenum.canon import canonical_key
-from critenum.enumeration import _allowed_free_extensions, _freeness_bitmap, find_obligations
-from critenum.patterns import forbidden_bitmap, forbidden_traces, set_bits
+from critenum.enumeration import (
+    _DEAD,
+    _EXPAND,
+    _OUT,
+    _allowed_free_extensions,
+    _child_kinds,
+    _freeness_bitmap,
+    find_obligations,
+)
 from oracles import (
     all_graphs,
     brute_automorphisms,
@@ -51,7 +57,8 @@ HCO = parse_pattern("co(k3+2p1)")
 
 def _children(g, cfg, autos=(), inherited=None):
     """The children ``g`` gets in the search, its freeness bitmap built on ``inherited``."""
-    return _allowed_free_extensions(g, cfg, autos, _freeness_bitmap(g, cfg, inherited))
+    free = _freeness_bitmap(g, cfg.family, inherited)
+    return [c for c, _ in _allowed_free_extensions(g, cfg, autos, free)]
 
 
 def test_one_vertex_extensions_counts():
@@ -221,21 +228,20 @@ def test_children_merge_before_seeds_of_their_order():
     alone = recursively_enumerate(cfg)
     both = recursively_enumerate(
         SearchConfig(k=5, family=(P5, HCO), max_order=9, seeds=(seed, relabelled)))
-    assert alone.nodes_visited == both.nodes_visited == 671
+    assert alone.nodes_visited == both.nodes_visited == 556
     assert both.graphs == alone.graphs
 
 
 def test_nodes_visited_to_order_8():
     # every distinct graph processed, the seed K5 included (co-C9 is above the cap)
-    for h, expected in [(H13, 231), (H14, 234), (HCO, 169)]:
+    for h, expected in [(H13, 226), (H14, 229), (HCO, 166)]:
         assert enumerate_5vc(h, max_order=8).nodes_visited == expected
 
 
 def test_nodes_visited_to_order_9(tmp_path, monkeypatch):
-    # children that contain K5 are not built; without that rule the search visits
-    # 215, 215 and 176 more nodes, all of them dead.  Children that are automorphic
-    # images of a sibling are not built either; without that the dedup runs
-    # 4,100, 4,233 and 2,288 canonical searches.
+    # dead children (chi 5, not critical; those that properly contain K5 among
+    # them) are found dead by their parent and never built, so not counted.
+    # Children that are automorphic images of a sibling are not built either.
     searches = 0
 
     def counted(g):
@@ -245,9 +251,9 @@ def test_nodes_visited_to_order_9(tmp_path, monkeypatch):
 
     monkeypatch.setattr(critenum.enumeration, "canonical_key", counted)
     data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
-    for h, expected, dedup, recorded in [(H13, 1476, 2696, "k13p1-c10.g6"),
-                                         (H14, 1551, 2779, None),
-                                         (HCO, 689, 1419, "cok32p1-c11.g6")]:
+    for h, expected, dedup, recorded in [(H13, 1262, 2455, "k13p1-c10.g6"),
+                                         (H14, 1335, 2536, None),
+                                         (HCO, 572, 1298, "cok32p1-c11.g6")]:
         searches = 0
         res = enumerate_5vc(h, max_order=9)
         assert res.nodes_visited == expected
@@ -266,52 +272,48 @@ def _repairs(s, ob):
     return ob is None or bool(s & ob[0] and ob[1] & ~s)
 
 
-def _random_parents(rng, family, k, count):
-    """Seeded random family-free (k-1)-colourable graphs of order >= k with a K_{k-1}."""
-    found = []
-    while len(found) < count:
-        g = random_graph(rng, rng.randint(k, k + 3), rng.uniform(0.3, 0.8))
-        if (clique_number(g) >= k - 1 and is_family_free(g, family)
-                and is_k_colorable(g, k - 1) is not None):
-            found.append(g)
-    return found
+def _oracle_kind(child, k):
+    """The outcome of ``child`` from its own coloring searches."""
+    report = is_k_vertex_critical(child, k)
+    if report.chi < k:
+        return _EXPAND
+    return _OUT if report.is_vertex_critical else _DEAD
 
 
-@pytest.mark.parametrize("k, family", [(5, (P5, H13)), (5, (P5, HCO)), (4, (P5,)), (3, (P5,))],
-                         ids=["k5-k1,3+p1", "k5-co(k3+2p1)", "k4-p5", "k3-p5"])
-def test_clique_rule_drops_only_dead_children(k, family):
-    rng = random.Random(20261018 + k)
-    cfg = SearchConfig(k=k, family=family, max_order=64)
-    dropped_total = 0
-    for g in _random_parents(rng, family, k, 12):
-        ob = find_obligations(g)
-        free = forbidden_bitmap(forbidden_traces(g, family), g.n)
-        unfiltered = [s for s in set_bits(((1 << (1 << g.n)) - 1) ^ free) if _repairs(s, ob)]
-        kept = [c.rows[g.n] for c in _children(g, cfg)]
-        dropped = [s for s in unfiltered if clique_number(induced_subgraph(g, s)) >= k - 1]
-        assert kept == [s for s in unfiltered if s not in dropped]
-        for s in dropped:
-            child = add_vertex_with_neighborhood(g, s)
-            assert chromatic_number(child) >= k
-            assert not is_k_vertex_critical(child, k).is_vertex_critical
-        dropped_total += len(dropped)
-    assert dropped_total > 0
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_child_kinds_match_per_child_oracle(k):
+    # every one-vertex extension of each parent, classified from the parent's
+    # tables and by the child's own coloring searches
+    rng = random.Random(20261019 + k)
+    parents = [g for g in (complete(k - 1), complement(cycle(5)), complement(cycle(7)))
+               if is_k_colorable(g, k - 1) is not None]
+    while len(parents) < 24:
+        g = random_graph(rng, rng.randint(1, k + 3), rng.uniform(0.2, 0.9))
+        if is_k_colorable(g, k - 1) is not None:
+            parents.append(g)
+    seen = Counter()
+    for g in parents:
+        masks = range(1 << g.n)
+        kinds = _child_kinds(g, k, masks)
+        assert kinds == [_oracle_kind(add_vertex_with_neighborhood(g, s), k) for s in masks], g
+        seen.update(kinds)
+    assert seen[_EXPAND] and seen[_DEAD] and seen[_OUT]
 
 
 def test_clique_rule_keeps_k5_from_k4_seed():
-    # a parent of k - 1 vertices: its child K_k is critical and must be emitted
+    # the parent K_{k-1} finds its child K_k critical, and it is emitted untested
     cfg = SearchConfig(k=5, family=(P5, H13), max_order=5, seeds=(complete(4),))
     res = recursively_enumerate(cfg)
     assert [canonical_form(g) for g in res.graphs] == [canonical_form(complete(5))]
 
 
 @pytest.mark.parametrize("k, counts, nodes", [(2, {2: 1}, 3),  # K2
-                                              (3, {3: 1, 5: 1}, 12),  # K3 and C5
-                                              (4, {4: 1, 6: 1, 7: 7}, 84)],
+                                              (3, {3: 1, 5: 1}, 11),  # K3 and C5
+                                              (4, {4: 1, 6: 1, 7: 7}, 80)],
                          ids=["2", "3", "4"])
 def test_clique_rule_small_k_matches_no_prune(k, counts, nodes):
-    # K_k joins the family at order k, so a child of order k does not inherit
-    # its parent's freeness bitmap; reusing it there visits 4, 13 and 87 nodes
+    # with pruning, parents classify their children from k = 2 on, and the
+    # children that properly contain K_k are among the dead ones never built
     on = recursively_enumerate(SearchConfig(k=k, family=(P5,), max_order=7,
                                             seeds=(complete(1),)))
     off = recursively_enumerate(SearchConfig(k=k, family=(P5,), max_order=7,
@@ -325,7 +327,8 @@ def test_clique_rule_small_k_matches_no_prune(k, counts, nodes):
 @pytest.mark.parametrize("k, family", [(5, (P5, H13)), (5, (P5, HCO)), (4, (P5,)), (3, (P5,))],
                          ids=["k5-k1,3+p1", "k5-co(k3+2p1)", "k4-p5", "k3-p5"])
 def test_child_filter_against_per_child_oracle(k, family, pruning):
-    # every rule reaches the filter as traces; each child is checked on its own here
+    # freeness and the obstruction reach the filter as traces, and pruning drops the
+    # dead children; each child is checked on its own here
     rng = random.Random(20261022 + k)
     cfg = SearchConfig(k=k, family=family, max_order=64, pruning=pruning)
     parents = [complete(k - 1)]
@@ -340,20 +343,21 @@ def test_child_filter_against_per_child_oracle(k, family, pruning):
             child = add_vertex_with_neighborhood(g, s)
             if not is_family_free(child, family):
                 continue
-            if pruning and ((g.n >= k and clique_number(child) >= k) or not _repairs(s, ob)):
+            if pruning and (not _repairs(s, ob) or _oracle_kind(child, k) == _DEAD):
                 continue
             expected.append(s)
         kept = [c.rows[g.n] for c in _children(g, cfg)]
         assert kept == expected, (g, ob)
         # g reached as its parent, g less its last vertex, plus that vertex
         parent = induced_subgraph(g, (1 << (g.n - 1)) - 1)
-        inherited = _freeness_bitmap(parent, cfg, None)
-        assert _freeness_bitmap(g, cfg, inherited) == _freeness_bitmap(g, cfg, None), g
+        inherited = _freeness_bitmap(parent, family, None)
+        assert _freeness_bitmap(g, family, inherited) == _freeness_bitmap(g, family, None), g
         kept = [c.rows[g.n] for c in _children(g, cfg, inherited=inherited)]
         assert kept == expected, (g, ob)
     if pruning:  # the parents exercise each rule
         assert any(find_obligations(g) for g in parents)
-        assert any(g.n >= k and clique_number(g) == k - 1 for g in parents)
+        assert any(_oracle_kind(add_vertex_with_neighborhood(g, s), k) == _DEAD
+                   for g in parents for s in range(1 << g.n))
 
 
 @pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-prune"])
