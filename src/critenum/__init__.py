@@ -57,7 +57,6 @@ from .graphs import (
     delete_vertex,
     disjoint_union,
     induced_subgraph,
-    is_connected,
     mask_of,
     path,
 )

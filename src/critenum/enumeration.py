@@ -18,8 +18,8 @@ whichever seed or path reached it, and keeps the first graph of each class.
 The children of a parent are filtered for all 2^n candidate neighborhoods
 at once, and every rule enters the filter the same way: as forbidden
 traces.  A trace (C, A) forbids the neighborhoods s with ``s & C == A``.
-Freeness gives the traces of :func:`patterns.forbidden_traces`; the
-pruning rule below adds its own.  :func:`patterns.forbidden_bitmap` holds
+Freeness gives the traces of :func:`patterns.traces_through`; the pruning
+rule below adds its own.  :func:`patterns.forbidden_bitmap` holds
 a set of neighborhoods as an int of 2^n bits, bit s standing for s, so
 the cube a trace forbids is an AND of |C| per-vertex bitmaps ("s contains
 v", or its complement) and the forbidden set is the OR of the cubes.  The
@@ -27,15 +27,17 @@ allowed masks are the clear bits of the result, read in ascending order by
 :func:`patterns.set_bits`: the list the per-mask test gave.
 
 A node's freeness bitmap F, the neighborhoods that the family forbids, is
-built on its parent's, which the node carries.  A child g of order n is
-its parent p plus vertex n - 1, and p is g less that vertex, so the traces
-of g are those of p and those through n - 1
-(:func:`patterns.traces_through`).  A trace (C, A) of p has C below n - 1,
-so whether s & C == A does not depend on bit n - 1 of s: its cube in 2^n
-bits is its cube in 2^(n-1) bits twice over, and F of p becomes
-``F | F << 2^(n-1)`` exactly.  The obligation traces of a node belong to
-that node alone: they are ORed into what it filters with, never into the
-F its children inherit.  Seeds have no parent and compute F from scratch.
+built one vertex at a time.  Adding vertex v to a graph p on the vertices
+below v gives the traces of p and those through v
+(:func:`patterns.traces_through`).  A trace (C, A) of p has C below v, so
+whether s & C == A does not depend on bit v of s: its cube in 2^(v+1)
+bits is its cube in 2^v bits twice over, and the step is
+``F | F << 2^v | forbidden_bitmap(traces through v, v + 1)`` exactly.  A
+child, its parent plus its last vertex, runs the step once on the F it
+inherits; a seed runs the same step for each vertex, starting from the
+empty graph, whose one neighborhood is forbidden iff some pattern is P1.
+The obligation traces of a node belong to that node alone: they are ORed
+into what it filters with, never into the F its children inherit.
 Each expanded node returns its F once, and the next level holds it by
 reference in every child's entry, so a level keeps one int of 2^(n-1)
 bits per distinct parent: 512 bytes at n = 13, 256 KB at n = 22.
@@ -134,7 +136,6 @@ from .patterns import (
     Pattern,
     _vertex_bitmaps,
     forbidden_bitmap,
-    forbidden_traces,
     free_after_extension,  # not called here; the benchmark's tracer patches this name
     is_family_free,
     parse_pattern,
@@ -170,14 +171,7 @@ class EnumerationResult:
         return self.open_nodes == 0
 
 
-def find_obligations(g: Graph) -> tuple[VertexSet, VertexSet] | None:
-    """The obstruction ``(x, y)`` the next added vertex must repair, or None.
-
-    ``x`` and ``y`` are vertex bitmasks of ``g``; a new vertex is allowed
-    only if it is adjacent to some vertex of ``x`` and nonadjacent to some
-    vertex of ``y``.  Comparable pairs are the (1, 1) case.
-    """
-    return find_xy_obstruction(g)
+find_obligations = find_xy_obstruction  # the benchmark's tracer patches this name
 
 
 # Node outcomes for the search driver.
@@ -209,14 +203,18 @@ def _freeness_bitmap(g: Graph, family: tuple[Pattern, ...], inherited: int | Non
     """The neighborhoods of a new vertex that ``family`` forbids, as a bitmap.
 
     ``inherited`` is the bitmap of the parent, g less its last vertex, or
-    None to compute the bitmap from scratch.
+    None for a seed, which starts from the empty graph (see the module
+    docstring).
     """
-    n = g.n
     if inherited is None:
-        return forbidden_bitmap(forbidden_traces(g, family), n)
-    through: dict[VertexSet, set[VertexSet]] = {}
-    traces_through(g, family, n - 1, through)
-    return inherited | inherited << (1 << (n - 1)) | forbidden_bitmap(through, n)
+        first, free = 0, int(any(p.graph.n == 1 for p in family))
+    else:
+        first, free = g.n - 1, inherited
+    for v in range(first, g.n):
+        through: dict[VertexSet, set[VertexSet]] = {}
+        traces_through(g, family, v, through)
+        free |= free << (1 << v) | forbidden_bitmap(through, v + 1)
+    return free
 
 
 def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes],

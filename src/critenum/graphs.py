@@ -229,17 +229,3 @@ def degree(g: Graph, v: int) -> int:
     g._check_vertex(v)
     return g.rows[v].bit_count()
 
-
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability; vacuously true for n <= 1."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1

@@ -17,14 +17,15 @@ Freeness of one-vertex extensions is decided once per parent.  For a
 family-free g, a pattern P and one representative r of each automorphism
 orbit of P, every induced copy of P - r in g is a trace (C, A): its image C
 and the image A of N_P(r).  g plus a new vertex with neighborhood s is
-family-free iff s & C != A for every trace (:func:`forbidden_traces` says
+family-free iff s & C != A for every trace (:func:`traces_through` says
 why).
 
 There is one trace search, anchored at a host vertex v:
 :func:`traces_through` finds the traces whose image contains v and lies
 in the vertices <= v.  So the traces of g are the union over its
 vertices, and g plus a new highest vertex v has the traces of g and the
-traces through v.
+traces through v.  P1 - r is empty: its one trace (0, 0) has no vertex,
+so no search finds it, and the caller adds it (P1 forbids every extension).
 The search places one vertex a of P - r at v first.  One a per orbit of
 the stabilizer of r in Aut(P) is enough, since such an automorphism keeps
 every trace, and the embeddings are enumerated up to swaps of twins of P,
@@ -297,17 +298,19 @@ def is_family_free(host: Graph, family: Iterable[PatternLike]) -> bool:
 
 
 @lru_cache(maxsize=512)
-def _anchor_roles(pg: Graph) -> tuple[int, ...]:
-    """The least vertex of each automorphism orbit of the pattern.
+def _orbit_leasts(pg: Graph, fixed: tuple[int, ...]) -> tuple[int, ...]:
+    """The least vertex of each orbit outside ``fixed`` of the automorphisms of P fixing ``fixed``.
 
-    An induced embedding of P into itself is an automorphism, so v lies in
-    the orbit of r exactly when the search pinned at r -> v succeeds.
+    An induced embedding of P into itself is an automorphism, so one that
+    fixes ``fixed`` pointwise maps a to u exactly when the search pinned at
+    ``fixed`` -> ``fixed`` and a -> u succeeds.
     """
-    roles: list[int] = []
-    for v in range(pg.n):
-        if all(_search(pg, pg, (r,), (v,)) is None for r in roles):
-            roles.append(v)
-    return tuple(roles)
+    leasts: list[int] = []
+    for u in range(pg.n):
+        if u not in fixed and all(_search(pg, pg, fixed + (a,), fixed + (u,)) is None
+                                  for a in leasts):
+            leasts.append(u)
+    return tuple(leasts)
 
 
 def free_after_extension(host: Graph, family: Iterable[PatternLike], new_vertex: int) -> bool:
@@ -318,24 +321,10 @@ def free_after_extension(host: Graph, family: Iterable[PatternLike], new_vertex:
     """
     for p in family:
         pg = _pattern_graph(p)
-        for role in _anchor_roles(pg):
+        for role in _orbit_leasts(pg, ()):
             if _search(host, pg, (role,), (new_vertex,)) is not None:
                 return False
     return True
-
-
-@lru_cache(maxsize=512)
-def _stabilizer_anchors(pg: Graph, r: int) -> tuple[int, ...]:
-    """The least vertex of each orbit of the stabilizer of ``r`` in Aut(P) on P - r.
-
-    Some automorphism fixes r and maps a to u exactly when the search
-    pinned at r -> r and a -> u succeeds.
-    """
-    anchors: list[int] = []
-    for u in range(pg.n):
-        if u != r and all(_search(pg, pg, (r, a), (r, u)) is None for a in anchors):
-            anchors.append(u)
-    return tuple(anchors)
 
 
 @lru_cache(maxsize=512)
@@ -345,15 +334,15 @@ def _anchored_plans(pg: Graph) -> tuple[tuple[tuple, tuple[int, ...], tuple[int,
     Each plan follows the match order of P - r that places a first and
     gives, per step: the earlier steps with whether they are adjacent, whether
     the vertex is in N_P(r), and the latest earlier step that places a twin
-    in P of the same vertex (see :func:`forbidden_traces`), or -1.
+    in P of the same vertex (see :func:`traces_through`), or -1.
     """
     plans = []
-    for r in _anchor_roles(pg):
+    for r in _orbit_leasts(pg, ()):
         rest = delete_vertex(pg, r)  # vertices above r shift down by one
         nbrs = pg.rows[r]
         nbrs = (nbrs & ((1 << r) - 1)) | ((nbrs >> (r + 1)) << r)
         rows = rest.rows
-        for a in _stabilizer_anchors(pg, r):
+        for a in _orbit_leasts(pg, (r,)):
             order, prev, _ = _match_plan(rest, (a - (a > r),))
             before = []
             for s, u in enumerate(order):
@@ -417,60 +406,37 @@ def traces_through(g: Graph, family: Iterable[PatternLike], v: int,
     """Add to ``out`` the forbidden traces (C, A) of ``g`` with v in C and C within 0..v.
 
     These are the traces that ``g`` has and ``g`` less the vertices above v
-    lacks; see :func:`forbidden_traces`.
-    """
-    for p in family:
-        for plan in _anchored_plans(_pattern_graph(p)):
-            _collect_through(g, v, plan, out)
+    lacks.  The traces decide freeness exactly, not as a filter, when a
+    vertex w with neighborhood s is added to the family-free ``g``:
 
-
-def forbidden_traces(g: Graph, family: Iterable[PatternLike]) -> dict[VertexSet, set[VertexSet]]:
-    """Every forbidden trace of the family-free graph ``g``, as ``{C: {A, ...}}``.
-
-    For each pattern P and each orbit representative r of Aut(P), every
-    induced embedding of P - r into ``g`` gives the trace (C, A): C is its
-    image and A the image of N_P(r).  Adding a vertex v with neighborhood s
-    to ``g`` keeps it family-free iff ``s & C not in traces[C]`` for every
-    C.  This is exact, not a filter:
-
-    * ``g`` is family-free, so every copy of P in the extension uses v;
-    * an automorphism of P maps the role v plays to its orbit's
-      representative r, so v may be taken to play r;
+    * every copy of P in the extension uses w;
+    * an automorphism of P maps the role w plays to its orbit's
+      representative r, so w may be taken to play r;
     * the rest of the copy is an induced copy of P - r with some image C,
-      and v extends it to an induced P exactly when ``s & C == A``.
+      and w extends it to an induced P exactly when ``s & C == A``.
 
-    The traces are found by one anchored search, :func:`traces_through`,
-    run for each vertex h of ``g``: it takes the embeddings whose image
-    contains h and lies in the vertices <= h, so every nonempty image is
-    reached once, at its highest vertex.  (P1 - r is empty; its one trace
-    (0, 0) contains no vertex and is added here.)  An automorphism of P
-    that fixes r keeps every trace, so the search need not try every
-    vertex of P - r at h: the least vertex a of each orbit of the
-    stabilizer of r, placed first, is enough (f composed with the
-    automorphism that takes a to f^-1(h) maps a to h).  For P5 minus its
+    An automorphism of P that fixes r keeps every trace, so the search need
+    not try every vertex of P - r at v: the least vertex a of each orbit of
+    the stabilizer of r, placed first, is enough (f composed with the
+    automorphism that takes a to f^-1(v) maps a to v).  For P5 minus its
     middle vertex, 2P2, that is 2 anchors against 4 twin classes: the
     reflection fixes r and swaps the two end pairs.
 
-    Within a plan, not every embedding is enumerated either.  Call u, w in
-    P - r twins when they are twins in P: N_P(u) - w = N_P(w) - u, so both
-    are in N_P(r) or both are not.  Then the swap (u w) is an automorphism
-    of P that fixes r, and an embedding f and f composed with (u w) have
+    Within a plan, not every embedding is enumerated either.  Call u, x in
+    P - r twins when they are twins in P: N_P(u) - x = N_P(x) - u, so both
+    are in N_P(r) or both are not.  Then the swap (u x) is an automorphism
+    of P that fixes r, and an embedding f and f composed with (u x) have
     the same image and the same image of N_P(r): the same trace.  Being
     twins is an equivalence relation, and the swaps within its classes
     generate every permutation of each class, so each embedding has an
     equivalent one that maps each class to decreasing host vertices, in
-    the order the search places them.  Sorting keeps a at h, since the
-    anchor is placed first and h is the highest vertex of the image.  Only
+    the order the search places them.  Sorting keeps a at v, since the
+    anchor is placed first and v is the highest vertex of the image.  Only
     those embeddings are enumerated, and the traces are the same sets.
-    For P5, K_{1,3}+P1, K_{1,4}+P1 and co(K3+2P1) every trace then comes
-    from exactly one embedding.
     """
-    out: dict[VertexSet, set[VertexSet]] = {}
-    if any(_pattern_graph(p).n == 1 for p in family):
-        out[0] = {0}
-    for v in range(g.n):
-        traces_through(g, family, v, out)
-    return out
+    for p in family:
+        for plan in _anchored_plans(_pattern_graph(p)):
+            _collect_through(g, v, plan, out)
 
 
 @lru_cache(maxsize=1)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from critenum import (
+    Graph,
     SearchConfig,
     add_vertex_with_neighborhood,
     are_isomorphic,
@@ -300,7 +301,7 @@ def test_child_kinds_match_per_child_oracle(k):
     assert seen[_EXPAND] and seen[_DEAD] and seen[_OUT]
 
 
-def test_clique_rule_keeps_k5_from_k4_seed():
+def test_parent_classifies_k5_child_of_k4_seed():
     # the parent K_{k-1} finds its child K_k critical, and it is emitted untested
     cfg = SearchConfig(k=5, family=(P5, H13), max_order=5, seeds=(complete(4),))
     res = recursively_enumerate(cfg)
@@ -311,7 +312,7 @@ def test_clique_rule_keeps_k5_from_k4_seed():
                                               (3, {3: 1, 5: 1}, 11),  # K3 and C5
                                               (4, {4: 1, 6: 1, 7: 7}, 80)],
                          ids=["2", "3", "4"])
-def test_clique_rule_small_k_matches_no_prune(k, counts, nodes):
+def test_parent_classification_small_k_matches_no_prune(k, counts, nodes):
     # with pruning, parents classify their children from k = 2 on, and the
     # children that properly contain K_k are among the dead ones never built
     on = recursively_enumerate(SearchConfig(k=k, family=(P5,), max_order=7,
@@ -358,6 +359,18 @@ def test_child_filter_against_per_child_oracle(k, family, pruning):
         assert any(find_obligations(g) for g in parents)
         assert any(_oracle_kind(add_vertex_with_neighborhood(g, s), k) == _DEAD
                    for g in parents for s in range(1 << g.n))
+
+
+def test_seed_freeness_with_p1_forbids_every_mask():
+    # a seed starts from the empty graph, whose one neighborhood P1 forbids,
+    # and every step keeps all 2^n neighborhoods forbidden
+    rng = random.Random(20261024)
+    p1 = parse_pattern("p1")
+    assert _freeness_bitmap(Graph(0, ()), (P5,), None) == 0
+    for n in range(5):
+        g = random_graph(rng, n, rng.random())
+        assert _freeness_bitmap(g, (p1,), None) == (1 << (1 << n)) - 1, g
+        assert _freeness_bitmap(g, (P5, p1), None) == (1 << (1 << n)) - 1, g
 
 
 @pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-prune"])

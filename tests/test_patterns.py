@@ -22,9 +22,8 @@ from critenum import (
     path,
 )
 from critenum.patterns import (
-    _anchor_roles,
+    _orbit_leasts,
     forbidden_bitmap,
-    forbidden_traces,
     set_bits,
     traces_through,
 )
@@ -154,6 +153,14 @@ def _random_free_graph(rng, n, family):
             return g
 
 
+def _traces(g, family):
+    """Every trace of ``g`` with a vertex: the union of the traces through each vertex."""
+    out = {}
+    for v in range(g.n):
+        traces_through(g, family, v, out)
+    return out
+
+
 def _allowed(traces, n):
     """The neighborhoods s < 2^n that no trace forbids, ascending."""
     return set_bits(((1 << (1 << n)) - 1) ^ forbidden_bitmap(traces, n))
@@ -165,7 +172,7 @@ def test_forbidden_traces_differential():
         family = [parse_pattern(name)]
         for n in range(10):
             g = _random_free_graph(rng, n, family)
-            allowed = set(_allowed(forbidden_traces(g, family), n))
+            allowed = set(_allowed(_traces(g, family), n))
             for s in range(1 << n):
                 child = add_vertex_with_neighborhood(g, s)
                 free = is_family_free(child, family)
@@ -176,13 +183,14 @@ def test_forbidden_traces_differential():
 def test_forbidden_traces_edge_cases():
     rng = random.Random(59)
     p1 = [parse_pattern("p1")]
-    # P1 - r is empty: its one trace (0, 0) forbids every extension
-    assert forbidden_traces(Graph(0, ()), p1) == {0: {0}}
-    assert _allowed(forbidden_traces(Graph(0, ()), p1), 0) == []
+    # P1 - r is empty: its one trace (0, 0) has no vertex, so no search reports it
+    # (the freeness bitmap starts from it), and it forbids every extension
+    assert _allowed({0: {0}}, 0) == []
     big = [parse_pattern("k1,4+p1")]  # 6 vertices
     for n in range(5):
+        assert _traces(random_graph(rng, n, rng.random()), p1) == {}
         g = _random_free_graph(rng, n, big)
-        assert forbidden_traces(g, big) == {}
+        assert _traces(g, big) == {}
         assert _allowed({}, n) == list(range(1 << n))
 
 
@@ -193,7 +201,7 @@ def test_forbidden_traces_equal_all_embeddings(name):
     family = [parse_pattern(name)]
     for _ in range(40):
         g = _random_free_graph(rng, rng.randint(3, 10), family)
-        assert forbidden_traces(g, family) == brute_forbidden_traces(g, family), (name, g)
+        assert _traces(g, family) == brute_forbidden_traces(g, family), (name, g)
 
 
 class _CountingTraces(dict):
@@ -224,7 +232,7 @@ def test_trace_search_reports_each_trace_once(name):
             assert out.embeddings == sum(len(images) for images in out.values()), (name, g, v)
             union.update(out)
             total += out.embeddings
-        assert union == forbidden_traces(g, family), (name, g)
+        assert union == brute_forbidden_traces(g, family), (name, g)
     assert total > 0
 
 
@@ -250,20 +258,25 @@ def test_bitmap_filter_equals_per_mask_scan():
     assert _allowed({1: {0, 1}}, 1) == []  # s must meet and miss vertex 0
 
 
-def _brute_orbit_minima(g):
-    edges = list(g.edges())
-    autos = [perm for perm in itertools.permutations(range(g.n))
-             if all((g.rows[perm[u]] >> perm[v]) & 1 for u, v in edges)]
-    return tuple(v for v in range(g.n) if min(perm[v] for perm in autos) == v)
+def _brute_orbit_minima(autos, n, fixed):
+    """The least vertex of each orbit outside ``fixed`` of the ``autos`` that fix it."""
+    stab = [perm for perm in autos if all(perm[f] == f for f in fixed)]
+    return tuple(v for v in range(n) if v not in fixed and min(perm[v] for perm in stab) == v)
 
 
 def test_anchor_roles_against_brute_force_orbits():
+    # the roles r (orbits of Aut(P)) and the anchors of each r (orbits of its stabilizer)
     rng = random.Random(71)
     graphs = [random_graph(rng, rng.randint(0, 6), rng.random()) for _ in range(150)]
     graphs += [parse_pattern(name).graph
                for name in ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)", "k5", "3p3"]]
     for g in graphs:
-        assert _anchor_roles(g) == _brute_orbit_minima(g), g
+        edges = list(g.edges())
+        autos = [perm for perm in itertools.permutations(range(g.n))
+                 if all((g.rows[perm[u]] >> perm[v]) & 1 for u, v in edges)]
+        assert _orbit_leasts(g, ()) == _brute_orbit_minima(autos, g.n, ()), g
+        for r in range(g.n):
+            assert _orbit_leasts(g, (r,)) == _brute_orbit_minima(autos, g.n, (r,)), (g, r)
 
 
 def test_pattern_graph_accepted_directly():
