@@ -18,29 +18,32 @@ whichever seed or path reached it, and keeps the first graph of each class.
 The children of a parent are filtered for all 2^n candidate neighborhoods
 at once, and every rule enters the filter the same way: as forbidden
 traces.  A trace (C, A) forbids the neighborhoods s with ``s & C == A``.
-Freeness gives the traces of :func:`patterns.traces_through`; the pruning
-rule below adds its own.  :func:`patterns.forbidden_bitmap` holds
-a set of neighborhoods as an int of 2^n bits, bit s standing for s, so
-the cube a trace forbids is an AND of |C| per-vertex bitmaps ("s contains
-v", or its complement) and the forbidden set is the OR of the cubes.  The
-allowed masks are the clear bits of the result, read in ascending order by
-:func:`patterns.set_bits`: the list the per-mask test gave.
+A set of neighborhoods is an int of 2^n bits, bit s standing for s, so the
+cube a trace forbids is an AND of |C| per-vertex bitmaps ("s contains v",
+or its complement) and the forbidden set is the OR of the cubes.
+Freeness gives the cubes of :func:`patterns.forbidden_through`, which ORs
+them as its trace search reaches them; the pruning rule below adds two
+more.  The allowed masks are the clear bits of the result, read in
+ascending order by :func:`patterns.set_bits`: the list the per-mask test
+gave.
 
 A node's freeness bitmap F, the neighborhoods that the family forbids, is
 built one vertex at a time.  Adding vertex v to a graph p on the vertices
 below v gives the traces of p and those through v
-(:func:`patterns.traces_through`).  A trace (C, A) of p has C below v, so
-whether s & C == A does not depend on bit v of s: its cube in 2^(v+1)
+(:func:`patterns.forbidden_through`).  A trace (C, A) of p has C below v,
+so whether s & C == A does not depend on bit v of s: its cube in 2^(v+1)
 bits is its cube in 2^v bits twice over, and the step is
-``F | F << 2^v | forbidden_bitmap(traces through v, v + 1)`` exactly.  A
-child, its parent plus its last vertex, runs the step once on the F it
-inherits; a seed runs the same step for each vertex, starting from the
-empty graph, whose one neighborhood is forbidden iff some pattern is P1.
-The obligation traces of a node belong to that node alone: they are ORed
-into what it filters with, never into the F its children inherit.
-Each expanded node returns its F once, and the next level holds it by
-reference in every child's entry, so a level keeps one int of 2^(n-1)
-bits per distinct parent: 512 bytes at n = 13, 256 KB at n = 22.
+``F | F << 2^v | forbidden_through(g, family, v)`` exactly.  A child, its
+parent plus its last vertex, runs the step once on the F it inherits; a
+seed runs the same step for each vertex, starting from the empty graph,
+whose one neighborhood is forbidden iff some pattern is P1.  The
+obligation cubes of a node belong to that node alone: they are ORed into
+what it filters with, never into the F its children inherit.  Each
+expanded node returns its F once, boxed in a tuple that every child's
+entry in the next level holds by reference, so a level keeps one int of
+2^(n-1) bits per distinct parent: 512 bytes at n = 13, 256 KB at n = 22.
+The box also makes pickle send F once per chunk of the level under
+``jobs > 1``, where a bare int would be copied into every child's entry.
 
 Pruning rests on one fact about any vertex-critical completion G of the
 working graph I: G contains no comparable vertices and, more generally, no
@@ -49,10 +52,10 @@ and Y complete to N(X).  If I currently contains such a pair (X, Y), some
 future vertex must be adjacent to X while missing part of Y, and it may as
 well be the next one: extensions that do not repair the recorded
 obstruction are skipped.  "s meets X and misses part of Y" says exactly
-that s avoids the traces (X, 0) and (Y, Y), so the rule adds those two.
-Every vertex-critical supergraph survives some addition order, so the
-output set is unchanged (the no-pruning run is the differential oracle for
-this).
+that s avoids the traces (X, 0) and (Y, Y), so the rule forbids their
+cubes, the s that miss X and the s that contain Y.  Every vertex-critical
+supergraph survives some addition order, so the output set is unchanged
+(the no-pruning run is the differential oracle for this).
 
 Pruning also decides the kind of each kept child at its parent g, which
 is (k-1)-colorable, and never builds a dead child.  Let V be the vertices
@@ -134,20 +137,21 @@ from .graphs import (
 )
 from .patterns import (
     Pattern,
+    PatternLike,
+    _pattern_graph,
     _vertex_bitmaps,
-    forbidden_bitmap,
+    forbidden_through,
     free_after_extension,  # not called here; the benchmark's tracer patches this name
     is_family_free,
     parse_pattern,
     set_bits,
-    traces_through,
 )
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     k: int
-    family: tuple[Pattern, ...]
+    family: tuple[PatternLike, ...]
     max_order: int
     seeds: tuple[Graph, ...] = ()
     pruning: bool = True
@@ -181,9 +185,20 @@ _TRUNCATED = 2  # chi < k at the order cap: open branch
 _EXPAND = 3     # chi < k: expanded unless at the order cap
 
 
-def _process_node(node: tuple[Graph, list[bytes], int | None, int | None], cfg: SearchConfig):
-    """The node's outcome, and for ``_EXPAND`` its children, each with its
-    canonical key and kind, and the node's freeness bitmap, which they inherit."""
+# A node of a level: the first graph of its class, the automorphisms its
+# canonical search found, its parent's freeness bitmap in a 1-tuple shared by
+# its siblings (None for a seed), and the kind its parent found for it (None:
+# classified at the node).
+_Node = tuple[Graph, list[bytes], tuple[int] | None, int | None]
+
+
+def _process_node(node: _Node, cfg: SearchConfig):
+    """The node's outcome, and for ``_EXPAND`` its children as ``(canonical key, node)``.
+
+    The children share one box holding the node's freeness bitmap, so that
+    pickle, which copies a repeated int each time but a repeated tuple once,
+    sends the bitmap once per chunk of the next level under ``jobs > 1``.
+    """
     g, autos, inherited, kind = node
     if kind is None:  # a seed, or any node without pruning: classified here
         if is_k_colorable(g, cfg.k - 1) is not None:
@@ -191,15 +206,19 @@ def _process_node(node: tuple[Graph, list[bytes], int | None, int | None], cfg: 
         else:
             kind = _OUT if noncritical_vertex(g, cfg.k) is None else _DEAD
     if kind != _EXPAND:
-        return (kind, None, None)
+        return (kind, None)
     if g.n >= cfg.max_order:
-        return (_TRUNCATED, None, None)
-    free = _freeness_bitmap(g, cfg.family, inherited)
-    children = _allowed_free_extensions(g, cfg, autos, free)
-    return (_EXPAND, [(c, *canonical_key(c), c_kind) for c, c_kind in children], free)
+        return (_TRUNCATED, None)
+    free = _freeness_bitmap(g, cfg.family, None if inherited is None else inherited[0])
+    box = (free,)
+    children = []
+    for c, c_kind in _allowed_free_extensions(g, cfg, autos, free):
+        key, c_autos = canonical_key(c)
+        children.append((key, (c, c_autos, box, c_kind)))
+    return (_EXPAND, children)
 
 
-def _freeness_bitmap(g: Graph, family: tuple[Pattern, ...], inherited: int | None) -> int:
+def _freeness_bitmap(g: Graph, family: tuple[PatternLike, ...], inherited: int | None) -> int:
     """The neighborhoods of a new vertex that ``family`` forbids, as a bitmap.
 
     ``inherited`` is the bitmap of the parent, g less its last vertex, or
@@ -207,13 +226,11 @@ def _freeness_bitmap(g: Graph, family: tuple[Pattern, ...], inherited: int | Non
     docstring).
     """
     if inherited is None:
-        first, free = 0, int(any(p.graph.n == 1 for p in family))
+        first, free = 0, int(any(_pattern_graph(p).n == 1 for p in family))
     else:
         first, free = g.n - 1, inherited
     for v in range(first, g.n):
-        through: dict[VertexSet, set[VertexSet]] = {}
-        traces_through(g, family, v, through)
-        free |= free << (1 << v) | forbidden_bitmap(through, v + 1)
+        free |= free << (1 << v) | forbidden_through(g, family, v)
     return free
 
 
@@ -225,12 +242,20 @@ def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes],
     With pruning, each child comes with its kind from :func:`_child_kinds`
     and dead children are not built; without, every kind is None.
     """
+    ones = (1 << (1 << g.n)) - 1
     forbidden = free
     ob = find_obligations(g) if cfg.pruning else None
-    if ob is not None:  # the new vertex meets x: not (x, 0); it misses part of y: not (y, y)
+    if ob is not None:  # the new vertex meets x and misses part of y
         x, y = ob
-        forbidden |= forbidden_bitmap({x: {0}, y: {y}}, g.n)
-    kept = _orbit_least(set_bits(((1 << (1 << g.n)) - 1) ^ forbidden), autos)
+        sides = _vertex_bitmaps(g.n)
+        misses_x = contains_y = ones
+        for v in range(g.n):
+            if x >> v & 1:
+                misses_x &= sides[v][0]
+            if y >> v & 1:
+                contains_y &= sides[v][1]
+        forbidden |= misses_x | contains_y
+    kept = _orbit_least(set_bits(ones ^ forbidden), autos)
     kinds = _child_kinds(g, cfg.k, kept) if cfg.pruning else [None] * len(kept)
     return [(add_vertex_with_neighborhood(g, s), kind)
             for s, kind in zip(kept, kinds) if kind != _DEAD]
@@ -359,10 +384,7 @@ def recursively_enumerate(
         pool = multiprocessing.get_context("fork").Pool(jobs)
     process = partial(_process_node, cfg=cfg)
     try:
-        # the first graph of each class, with the automorphisms its search found,
-        # its parent's freeness bitmap, shared by its siblings, and the kind its
-        # parent found for it (None: classified at the node)
-        level: dict[int, tuple[Graph, list[bytes], int | None, int | None]] = {}
+        level: dict[int, _Node] = {}
         for order in range(min(seeds_at, default=1), cfg.max_order + 1):
             for seed in seeds_at.get(order, []):
                 key, autos = canonical_key(seed)
@@ -372,15 +394,15 @@ def recursively_enumerate(
             outcomes = (map(process, level.values()) if pool is None else
                         pool.imap(process, level.values(), max(1, len(level) // (jobs * 4))))
             visited += len(level)
-            upper: dict[int, tuple[Graph, list[bytes], int | None, int | None]] = {}
-            for (key, (g, _, _, _)), (kind, children, free) in zip(level.items(), outcomes):
+            upper: dict[int, _Node] = {}
+            for (key, (g, _, _, _)), (kind, children) in zip(level.items(), outcomes):
                 if kind == _OUT:
                     emitted.append((g, form_of_key(order, key)))
                 elif kind == _TRUNCATED:
                     open_nodes += 1
                 elif kind == _EXPAND:
-                    for child, child_key, child_autos, child_kind in children:
-                        upper.setdefault(child_key, (child, child_autos, free, child_kind))
+                    for child_key, child in children:
+                        upper.setdefault(child_key, child)
             if progress is not None:
                 progress(order, len(level))
             level = upper

@@ -17,11 +17,11 @@ Freeness of one-vertex extensions is decided once per parent.  For a
 family-free g, a pattern P and one representative r of each automorphism
 orbit of P, every induced copy of P - r in g is a trace (C, A): its image C
 and the image A of N_P(r).  g plus a new vertex with neighborhood s is
-family-free iff s & C != A for every trace (:func:`traces_through` says
+family-free iff s & C != A for every trace (:func:`forbidden_through` says
 why).
 
 There is one trace search, anchored at a host vertex v:
-:func:`traces_through` finds the traces whose image contains v and lies
+:func:`forbidden_through` finds the traces whose image contains v and lies
 in the vertices <= v.  So the traces of g are the union over its
 vertices, and g plus a new highest vertex v has the traces of g and the
 traces through v.  P1 - r is empty: its one trace (0, 0) has no vertex,
@@ -32,9 +32,10 @@ every trace, and the embeddings are enumerated up to swaps of twins of P,
 each twin class mapped to decreasing host vertices.  For P5, K1,3+P1,
 K1,4+P1 and co(K3+2P1) each trace then comes from exactly one embedding.
 
-:func:`forbidden_bitmap` applies traces to all 2^n candidate
+The search keeps no traces: it applies each one to all 2^(v+1) candidate
 neighborhoods at once, as a bitmap indexed by the neighborhood, and
-:func:`set_bits` reads the neighborhoods back in ascending order.
+returns the bitmap of the forbidden ones.  :func:`set_bits` reads
+neighborhoods back in ascending order.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from typing import Iterable, Union
 from .graphs import (
     MAX_ORDER,
     Graph,
-    VertexSet,
     complement,
     complete,
     complete_bipartite,
@@ -334,7 +334,7 @@ def _anchored_plans(pg: Graph) -> tuple[tuple[tuple, tuple[int, ...], tuple[int,
     Each plan follows the match order of P - r that places a first and
     gives, per step: the earlier steps with whether they are adjacent, whether
     the vertex is in N_P(r), and the latest earlier step that places a twin
-    in P of the same vertex (see :func:`traces_through`), or -1.
+    in P of the same vertex (see :func:`forbidden_through`), or -1.
     """
     plans = []
     for r in _orbit_leasts(pg, ()):
@@ -354,56 +354,81 @@ def _anchored_plans(pg: Graph) -> tuple[tuple[tuple, tuple[int, ...], tuple[int,
     return tuple(plans)
 
 
-def _collect_through(host: Graph, v: int, plan, out: dict[VertexSet, set[VertexSet]]) -> None:
-    """Add the trace of each embedding of the plan whose anchor maps to v and the rest below v.
+@lru_cache(maxsize=1)
+def _vertex_bitmaps(n: int) -> tuple[tuple[int, int], ...]:
+    """``(~X_v, X_v)`` for every v < n, where bit s of X_v is set iff s contains v.
+
+    Indexed by whether s contains v.  Only the last order is kept: 2n ints
+    of 2^n bits, 22 MB at n = 22.
+    """
+    ones = (1 << (1 << n)) - 1
+    sides = []
+    for v in range(n):
+        half = 1 << v  # X_v repeats 2^v clear bits, then 2^v set bits
+        xv = ones // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+        sides.append((ones ^ xv, xv))
+    return tuple(sides)
+
+
+def _forbidden_by_plan(host: Graph, v: int, plan, sides) -> int:
+    """The cubes of the embeddings of the plan whose anchor maps to v and the rest below v, ORed.
 
     Only the embeddings that map each step s below the host vertex of step
-    ``before[s]`` are enumerated.
+    ``before[s]`` are enumerated.  Each path of the search carries the cube
+    of the vertices it has placed, so a step costs one AND.  A step works
+    out the candidates of the next one for each vertex it places, and when
+    the next one is the last, ORs their sides before the one AND with the
+    cube instead of going deeper.
     """
     prev, marked, before = plan
     pn = len(prev)
     if pn > v + 1:
-        return
-    top = 1 << v
-    below = top - 1
+        return 0
+    if pn == 1:
+        return sides[v][marked[0]]
+    below = (1 << v) - 1
     hrows = host.rows
-    placed = [hrows[v]] * pn  # host row of the vertex placed at each step
-    chosen = [top] * pn  # its bit
+    placed = [0] * pn  # host row of the vertex placed at each step
+    chosen = [0] * pn  # its bit
     last = pn - 1
+    forbidden = 0
 
-    def dfs(s: int, used: int, a: int) -> None:  # used: the image below v
-        cand = below ^ used
-        t = before[s]
-        if t >= 0:  # below the twin placed at step t
-            cand &= chosen[t] - 1
-        for t, is_edge in prev[s]:
-            cand &= placed[t] if is_edge else ~placed[t]
-            if not cand:
-                return
+    def dfs(s: int, used: int, cube: int, cand: int) -> None:  # used: the image so far
+        nonlocal forbidden
         mark = marked[s]
-        if s == last:
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                out.setdefault(used | b | top, set()).add(a | b if mark else a)
-            return
+        nxt = s + 1
+        nprev, ntwin, nmark = prev[nxt], before[nxt], marked[nxt]
         while cand:
             b = cand & -cand
             cand ^= b
-            placed[s] = hrows[b.bit_length() - 1]
+            h = b.bit_length() - 1
+            placed[s] = hrows[h]
             chosen[s] = b
-            dfs(s + 1, used | b, a | b if mark else a)
+            c = below & ~(used | b)
+            if ntwin >= 0:  # below the twin placed at step ntwin
+                c &= chosen[ntwin] - 1
+            for t, is_edge in nprev:
+                c &= placed[t] if is_edge else ~placed[t]
+                if not c:
+                    break
+            else:
+                if nxt < last:
+                    dfs(nxt, used | b, cube & sides[h][mark], c)
+                    continue
+                either = 0
+                while c:
+                    b = c & -c
+                    c ^= b
+                    either |= sides[b.bit_length() - 1][nmark]
+                forbidden |= cube & sides[h][mark] & either
 
-    a = top if marked[0] else 0
-    if pn == 1:
-        out.setdefault(top, set()).add(a)
-    else:
-        dfs(1, 0, a)
+    dfs(0, 0, -1, 1 << v)  # -1: every bit set, the cube of no vertex
+    return forbidden
 
 
-def traces_through(g: Graph, family: Iterable[PatternLike], v: int,
-                   out: dict[VertexSet, set[VertexSet]]) -> None:
-    """Add to ``out`` the forbidden traces (C, A) of ``g`` with v in C and C within 0..v.
+def forbidden_through(g: Graph, family: Iterable[PatternLike], v: int) -> int:
+    """The neighborhoods s < 2^(v+1) that a trace (C, A) of ``g`` with v in C
+    and C within 0..v forbids, as a bitmap.
 
     These are the traces that ``g`` has and ``g`` less the vertices above v
     lacks.  The traces decide freeness exactly, not as a filter, when a
@@ -414,6 +439,12 @@ def traces_through(g: Graph, family: Iterable[PatternLike], v: int,
       representative r, so w may be taken to play r;
     * the rest of the copy is an induced copy of P - r with some image C,
       and w extends it to an induced P exactly when ``s & C == A``.
+
+    Bit s of the result stands for s.  With X_u the set of the s that
+    contain u, the trace (C, A) forbids the cube of the s with
+    ``s & C == A``: the AND over u in C of X_u when u is in A, else of its
+    complement.  The search builds that AND one placed vertex at a time
+    and ORs the cube of every embedding it reaches into the result.
 
     An automorphism of P that fixes r keeps every trace, so the search need
     not try every vertex of P - r at v: the least vertex a of each orbit of
@@ -434,49 +465,11 @@ def traces_through(g: Graph, family: Iterable[PatternLike], v: int,
     anchor is placed first and v is the highest vertex of the image.  Only
     those embeddings are enumerated, and the traces are the same sets.
     """
+    sides = _vertex_bitmaps(v + 1)
+    forbidden = 0
     for p in family:
         for plan in _anchored_plans(_pattern_graph(p)):
-            _collect_through(g, v, plan, out)
-
-
-@lru_cache(maxsize=1)
-def _vertex_bitmaps(n: int) -> tuple[tuple[int, int], ...]:
-    """``(~X_v, X_v)`` for every v < n, where bit s of X_v is set iff s contains v.
-
-    Indexed by whether s contains v.  Only the last order is kept: 2n ints
-    of 2^n bits, 22 MB at n = 22.
-    """
-    ones = (1 << (1 << n)) - 1
-    sides = []
-    for v in range(n):
-        half = 1 << v  # X_v repeats 2^v clear bits, then 2^v set bits
-        xv = ones // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
-        sides.append((ones ^ xv, xv))
-    return tuple(sides)
-
-
-def forbidden_bitmap(traces: dict[VertexSet, set[VertexSet]], n: int) -> int:
-    """The neighborhoods s < 2^n that some trace ``(C, A)`` forbids, as a bitmap.
-
-    Sets of neighborhoods are ints whose bit s stands for s, and X_v is the
-    set of the s that contain v.  The trace (C, A) forbids the cube of the
-    s with ``s & C == A``: the AND over v in C of X_v when v is in A, else
-    of its complement.
-    """
-    sides = _vertex_bitmaps(n)
-    ones = (1 << (1 << n)) - 1
-    forbidden = 0
-    for c, images in traces.items():
-        members = []  # bits(c), inlined: this runs once per image set
-        while c:
-            b = c & -c
-            c ^= b
-            members.append(b.bit_length() - 1)
-        for a in images:
-            cube = ones
-            for v in members:
-                cube &= sides[v][a >> v & 1]
-            forbidden |= cube
+            forbidden |= _forbidden_by_plan(g, v, plan, sides)
     return forbidden
 
 

@@ -193,6 +193,28 @@ def test_search_returns_automorphisms_and_key():
             assert _generated_group(g.n, canonical_key(g)[1]) == set(brute_automorphisms(g))
 
 
+def test_twin_partitions_match_full_tree_and_group():
+    # Most of these graphs refine at the root to singletons and twin classes,
+    # whose labels and automorphisms are read off without a search: the rows
+    # must be the full tree's and the swaps must generate the whole group.
+    rng = random.Random(17)
+    graphs = []
+    while len(graphs) < 250:
+        base = random_graph(rng, rng.randint(2, 6), rng.random())
+        if not any(_twins(base, u, v) for u, v in combinations(range(base.n), 2)):
+            blown = _twin_blowup(rng, base)
+            if blown.n <= 12:
+                graphs.append(blown)
+    graphs += [random_graph(rng, rng.randint(0, 12), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
+               for _ in range(150)]
+    for g in graphs:
+        key, autos = canonical_key(g)
+        assert decode_graph6(form_of_key(g.n, key).decode("ascii")).rows == \
+            full_tree_canonical_rows(g), g
+        if g.n <= 7:
+            assert _generated_group(g.n, autos) == set(brute_automorphisms(g)), g
+
+
 def test_are_isomorphic_examples():
     assert are_isomorphic(cycle(5), complement(cycle(5)))
     claw_p1 = disjoint_union(complete_bipartite(1, 3), path(1))

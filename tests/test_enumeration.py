@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import os
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -17,6 +18,7 @@ from critenum import (
     complete,
     cycle,
     default_max_order_for,
+    disjoint_union,
     enumerate_5vc,
     find_comparable_pair,
     find_xy_obstruction,
@@ -40,6 +42,7 @@ from critenum.enumeration import (
     _allowed_free_extensions,
     _child_kinds,
     _freeness_bitmap,
+    _process_node,
     find_obligations,
 )
 from oracles import (
@@ -371,6 +374,31 @@ def test_seed_freeness_with_p1_forbids_every_mask():
         g = random_graph(rng, n, rng.random())
         assert _freeness_bitmap(g, (p1,), None) == (1 << (1 << n)) - 1, g
         assert _freeness_bitmap(g, (P5, p1), None) == (1 << (1 << n)) - 1, g
+
+
+def test_family_of_plain_graphs_equals_patterns():
+    # a family member may be a Graph, as everywhere in patterns
+    results = [recursively_enumerate(SearchConfig(k=4, family=(h,), max_order=7,
+                                                  seeds=(cycle(5),)))
+               for h in (path(5), P5)]
+    assert results[0] == results[1]
+    assert results[0].per_order_counts == {6: 1, 7: 6} and results[0].nodes_visited == 23
+
+
+def test_siblings_pickle_their_parents_bitmap_once():
+    # under jobs > 1 a chunk of a level is pickled as one task: the siblings'
+    # shared box sends the parent's 2^14-bit freeness bitmap once
+    g = complete(2)
+    for _ in range(6):
+        g = disjoint_union(g, complete(2))
+    cfg = SearchConfig(k=4, family=(P5,), max_order=64, pruning=False)
+    kind, children = _process_node((g, canonical_key(g)[1], None, _EXPAND), cfg)
+    assert kind == _EXPAND and len(children) >= 2
+    (_, first), (_, second) = children[:2]
+    assert first[2] is second[2] and first[2][0] == _freeness_bitmap(g, cfg.family, None)
+    one = len(pickle.dumps([first]))
+    assert len(pickle.dumps([first, second])) < 1.5 * one
+    assert one > (1 << 14) // 8
 
 
 @pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-prune"])

@@ -21,11 +21,12 @@ from critenum import (
     parse_pattern,
     path,
 )
+import critenum.patterns
 from critenum.patterns import (
     _orbit_leasts,
-    forbidden_bitmap,
+    _vertex_bitmaps,
+    forbidden_through,
     set_bits,
-    traces_through,
 )
 from oracles import brute_forbidden_traces, random_graph, scan_extension_masks, scan_induced
 
@@ -153,17 +154,64 @@ def _random_free_graph(rng, n, family):
             return g
 
 
-def _traces(g, family):
+def _forbidden(g, family):
+    """The neighborhoods s < 2^n that a trace of ``g`` with a vertex forbids: one step per vertex."""
+    forbidden = 0
+    for v in range(g.n):
+        forbidden |= forbidden << (1 << v) | forbidden_through(g, family, v)
+    return forbidden
+
+
+def _allowed(forbidden, n):
+    """The neighborhoods s < 2^n clear in ``forbidden``, ascending."""
+    return set_bits(((1 << (1 << n)) - 1) ^ forbidden)
+
+
+class _Cubes:
+    """A list of cubes, each a frozenset of (vertex, side) literals, standing in for a bitmap.
+
+    Given as the per-vertex sides, these record the AND and OR of the trace
+    search: a cube is the trace (C, A), C its vertices and A those on side
+    1, and a cube appears once per embedding that reached it.  An int ANDed
+    in is the all-ones bitmap -1 a search starts from; one ORed in is 0.
+    """
+
+    def __init__(self, cubes):
+        self.cubes = cubes
+
+    def __and__(self, other):
+        if isinstance(other, int):
+            return self
+        return _Cubes([a | b for a in self.cubes for b in other.cubes])
+
+    __rand__ = __and__
+
+    def __or__(self, other):
+        return self if isinstance(other, int) and other == 0 else _Cubes(self.cubes + other.cubes)
+
+    __ror__ = __or__
+
+
+def _reached(g, family, v, monkeypatch):
+    """The trace (C, A) of every embedding ``forbidden_through(g, family, v)`` reaches, in order."""
+    with monkeypatch.context() as m:
+        m.setattr(critenum.patterns, "_vertex_bitmaps", lambda n: tuple(
+            (_Cubes([frozenset({(u, 0)})]), _Cubes([frozenset({(u, 1)})])) for u in range(n)))
+        out = forbidden_through(g, family, v)
+    if isinstance(out, int):
+        assert out == 0
+        return []
+    return [(sum(1 << u for u, _ in cube), sum(1 << u for u, side in cube if side))
+            for cube in out.cubes]
+
+
+def _traces(g, family, monkeypatch):
     """Every trace of ``g`` with a vertex: the union of the traces through each vertex."""
     out = {}
     for v in range(g.n):
-        traces_through(g, family, v, out)
+        for c, a in _reached(g, family, v, monkeypatch):
+            out.setdefault(c, set()).add(a)
     return out
-
-
-def _allowed(traces, n):
-    """The neighborhoods s < 2^n that no trace forbids, ascending."""
-    return set_bits(((1 << (1 << n)) - 1) ^ forbidden_bitmap(traces, n))
 
 
 def test_forbidden_traces_differential():
@@ -172,7 +220,7 @@ def test_forbidden_traces_differential():
         family = [parse_pattern(name)]
         for n in range(10):
             g = _random_free_graph(rng, n, family)
-            allowed = set(_allowed(_traces(g, family), n))
+            allowed = set(_allowed(_forbidden(g, family), n))
             for s in range(1 << n):
                 child = add_vertex_with_neighborhood(g, s)
                 free = is_family_free(child, family)
@@ -183,39 +231,39 @@ def test_forbidden_traces_differential():
 def test_forbidden_traces_edge_cases():
     rng = random.Random(59)
     p1 = [parse_pattern("p1")]
-    # P1 - r is empty: its one trace (0, 0) has no vertex, so no search reports it
-    # (the freeness bitmap starts from it), and it forbids every extension
-    assert _allowed({0: {0}}, 0) == []
+    # P1 - r is empty: its one trace (0, 0) has no vertex, so no search reaches it
+    # (the freeness bitmap starts from it, and it forbids every extension)
     big = [parse_pattern("k1,4+p1")]  # 6 vertices
     for n in range(5):
-        assert _traces(random_graph(rng, n, rng.random()), p1) == {}
+        g = random_graph(rng, n, rng.random())
+        assert [forbidden_through(g, p1, v) for v in range(n)] == [0] * n
+        assert _forbidden(g, p1) == 0
         g = _random_free_graph(rng, n, big)
-        assert _traces(g, big) == {}
-        assert _allowed({}, n) == list(range(1 << n))
+        assert [forbidden_through(g, big, v) for v in range(n)] == [0] * n
+        assert _allowed(_forbidden(g, big), n) == list(range(1 << n))
 
 
-@pytest.mark.parametrize("name", ["k1,4+p1", "co(k3+2p1)", "c4", "k4", "2p2", "p5"])
-def test_forbidden_traces_equal_all_embeddings(name):
-    # one embedding per twin swap and one anchor per orbit lose no trace
+@pytest.mark.parametrize("name", ["p1", "p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)",
+                                  "c4", "c5", "k4", "2p2"])
+def test_forbidden_traces_equal_all_embeddings(name, monkeypatch):
+    # one embedding per twin swap and one anchor per orbit lose no trace, and
+    # the bitmap through v forbids exactly what those traces forbid, mask by mask
     rng = random.Random(20261020)
     family = [parse_pattern(name)]
     for _ in range(40):
-        g = _random_free_graph(rng, rng.randint(3, 10), family)
-        assert _traces(g, family) == brute_forbidden_traces(g, family), (name, g)
-
-
-class _CountingTraces(dict):
-    """A trace dict that counts the embeddings the search reports into it."""
-
-    embeddings = 0
-
-    def setdefault(self, key, default=None):
-        self.embeddings += 1
-        return super().setdefault(key, default)
+        n = rng.randint(0, 10)
+        # a graph with a vertex contains P1: any graph has the traces the search finds
+        g = random_graph(rng, n, rng.random()) if name == "p1" else _random_free_graph(rng, n, family)
+        brute = brute_forbidden_traces(g, family)
+        assert _traces(g, family, monkeypatch) == {c: a for c, a in brute.items() if c}, (name, g)
+        for v in range(g.n):
+            through = {c: images for c, images in brute.items() if c.bit_length() - 1 == v}
+            allowed = _allowed(forbidden_through(g, family, v), v + 1)
+            assert allowed == scan_extension_masks(through, v + 1), (name, g, v)
 
 
 @pytest.mark.parametrize("name", ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)"])
-def test_trace_search_reports_each_trace_once(name):
+def test_trace_search_reports_each_trace_once(name, monkeypatch):
     # one anchor per orbit of the stabilizer of r and one embedding per twin
     # swap: no trace is found twice (P5 - middle vertex has one anchor per
     # end pair, not per twin class)
@@ -226,17 +274,32 @@ def test_trace_search_reports_each_trace_once(name):
         g = _random_free_graph(rng, rng.randint(4, 10), family)
         union = {}
         for v in range(g.n):
-            out = _CountingTraces()
-            traces_through(g, family, v, out)
-            assert all(c.bit_length() - 1 == v for c in out), (name, g, v)  # v is C's highest
-            assert out.embeddings == sum(len(images) for images in out.values()), (name, g, v)
-            union.update(out)
-            total += out.embeddings
+            reached = _reached(g, family, v, monkeypatch)
+            assert all(c.bit_length() - 1 == v for c, _ in reached), (name, g, v)  # v is C's highest
+            assert len(set(reached)) == len(reached), (name, g, v)
+            for c, a in reached:
+                union.setdefault(c, set()).add(a)
+            total += len(reached)
         assert union == brute_forbidden_traces(g, family), (name, g)
     assert total > 0
 
 
+def _cube_bitmap(traces, n):
+    """The s < 2^n that some trace (C, A) forbids, as the OR of the ANDs of the sides of C."""
+    sides = _vertex_bitmaps(n)
+    forbidden = 0
+    for c, images in traces.items():
+        for a in images:
+            cube = (1 << (1 << n)) - 1
+            for v in range(n):
+                if c >> v & 1:
+                    cube &= sides[v][a >> v & 1]
+            forbidden |= cube
+    return forbidden
+
+
 def test_bitmap_filter_equals_per_mask_scan():
+    # the per-vertex sides that every cube is built from, and set_bits that reads the result
     rng = random.Random(20261021)
     for _ in range(400):
         n = rng.randint(0, 7)
@@ -252,10 +315,10 @@ def test_bitmap_filter_equals_per_mask_scan():
             traces.setdefault(y, set()).add(y)
             allowed = [s for s in allowed if s & x and y & ~s]
             assert scan_extension_masks(traces, n) == allowed, (n, traces, x, y)
-        assert _allowed(traces, n) == allowed, (n, traces)
-    assert _allowed({}, 0) == [0] and _allowed({0: {0}}, 1) == []
-    assert _allowed({1: {1}}, 1) == [0]
-    assert _allowed({1: {0, 1}}, 1) == []  # s must meet and miss vertex 0
+        assert _allowed(_cube_bitmap(traces, n), n) == allowed, (n, traces)
+    assert _allowed(_cube_bitmap({}, 0), 0) == [0] and _allowed(_cube_bitmap({0: {0}}, 1), 1) == []
+    assert _allowed(_cube_bitmap({1: {1}}, 1), 1) == [0]
+    assert _allowed(_cube_bitmap({1: {0, 1}}, 1), 1) == []  # s must meet and miss vertex 0
 
 
 def _brute_orbit_minima(autos, n, fixed):
