@@ -41,20 +41,6 @@ were already seen:
   ``q[l]`` of the same node, which is done since the search is depth
   first.  The rest of the subtree below ``p[:l + 1]`` is skipped.
 
-**Twin partitions.**  Call a cell a twin class when its vertices are
-pairwise twins.  If every cell of the root with more than one vertex is a
-twin class, there is no tree to search.  A vertex w outside a twin class C
-is adjacent to all of C or to none, so individualizing v in C splits
-nothing: {v} and C - v are uniform against every cell, and the partition
-stays equitable.  Every node below is of the same kind, so every leaf lists
-the cells in order, each in some order of its own.  Any permutation within
-twin classes is an automorphism, so every leaf has the code of the cells
-read as they stand.  An automorphism keeps each root cell, by
-equivariance, so the automorphism group is the product of the symmetric
-groups of the cells, and the swaps of each cell's first vertex with each
-other one generate it.  The search returns that code and those swaps,
-and the full tree would give the same least code and the same group.
-
 The search also returns the automorphisms it found: the stored leaf
 automorphisms and the twin transpositions it pruned on.  The enumeration
 uses them to skip children that are automorphic images of a sibling.
@@ -145,19 +131,6 @@ def _transposition(n: int, u: int, v: int) -> bytes:
     return bytes(swap)
 
 
-def _twin_swaps(rows, cells) -> list[tuple[int, int]] | None:
-    """The swaps of each cell's first vertex with each other one, or None if
-    some cell is not a twin class (see the module docstring)."""
-    swaps = []
-    for cell in cells:
-        u = cell[0]
-        for v in cell[1:]:
-            if (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
-                return None
-            swaps.append((u, v))
-    return swaps
-
-
 def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
     """The canonical rows of ``g`` and the automorphisms the search found.
 
@@ -166,8 +139,6 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
     the search pruned on, each listed once.
     """
     n = g.n
-    if n <= 1:
-        return g.rows, []
     rows = g.rows
     best: tuple[int, ...] | None = None
     autos: list[bytes] = []
@@ -249,10 +220,6 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
     cells = [degree_cells[d] for d in sorted(degree_cells)]
     masks = [sum([1 << v for v in c]) for c in cells]
     _refine(rows, cells, masks, [(1 << n) - 1] * len(cells))
-    swaps = _twin_swaps(rows, cells)
-    if swaps is not None:
-        order = [v for cell in cells for v in cell]
-        return _relabeled(rows, order), [_transposition(n, u, v) for u, v in swaps]
     descend(cells, masks, ())
     assert best is not None
     autos += [_transposition(n, u, v) for u, v in twins]

@@ -88,9 +88,15 @@ def cmd_enumerate(args) -> int:
         search = partial(recursively_enumerate, SearchConfig(
             k=args.k, family=family, max_order=args.max_order,
             seeds=tuple(_seed_graphs(args.seed)), pruning=pruning))
+    created = not os.path.exists(args.out)
     open(args.out, "a").close()  # an unwritable --out fails here, not after the search
-    result = search(jobs=args.jobs, progress=progress)
-    write_graph6_file(args.out, result.graphs)
+    try:
+        result = search(jobs=args.jobs, progress=progress)
+        write_graph6_file(args.out, result.graphs)
+    except BaseException:
+        if created:  # an empty file would read as a valid, empty list
+            os.remove(args.out)
+        raise
     _p(f"wrote {len(result.graphs)} graphs to {args.out}")
     for n, c in result.per_order_counts.items():
         _p(f"  n={n}: {c}")

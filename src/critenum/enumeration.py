@@ -118,6 +118,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -380,10 +381,14 @@ def recursively_enumerate(
     pool = None
     if jobs > 1:
         import multiprocessing
+        import signal
 
-        pool = multiprocessing.get_context("fork").Pool(jobs)
+        # Workers ignore Ctrl-C, or one could die holding the lock of the
+        # task queue; leaving the block terminates them instead.
+        pool = multiprocessing.get_context("fork").Pool(
+            jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN))
     process = partial(_process_node, cfg=cfg)
-    try:
+    with pool or nullcontext():
         level: dict[int, _Node] = {}
         for order in range(min(seeds_at, default=1), cfg.max_order + 1):
             for seed in seeds_at.get(order, []):
@@ -406,10 +411,6 @@ def recursively_enumerate(
             if progress is not None:
                 progress(order, len(level))
             level = upper
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
     emitted.sort(key=lambda e: (e[0].n, e[1]))  # the order of sort_graphs
     return EnumerationResult(
         graphs=[g for g, _ in emitted],

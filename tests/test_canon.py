@@ -4,6 +4,7 @@ from itertools import combinations
 from pathlib import Path
 
 from critenum import (
+    MAX_ORDER,
     Graph,
     are_isomorphic,
     canonical_form,
@@ -13,6 +14,7 @@ from critenum import (
     cycle,
     decode_graph6,
     disjoint_union,
+    encode_graph6,
     path,
     read_graph6_file,
 )
@@ -195,8 +197,8 @@ def test_search_returns_automorphisms_and_key():
 
 def test_twin_partitions_match_full_tree_and_group():
     # Most of these graphs refine at the root to singletons and twin classes,
-    # whose labels and automorphisms are read off without a search: the rows
-    # must be the full tree's and the swaps must generate the whole group.
+    # which the twin prune cuts to one child per level: the rows must be the
+    # full tree's and the automorphisms found must generate the whole group.
     rng = random.Random(17)
     graphs = []
     while len(graphs) < 250:
@@ -213,6 +215,47 @@ def test_twin_partitions_match_full_tree_and_group():
             full_tree_canonical_rows(g), g
         if g.n <= 7:
             assert _generated_group(g.n, autos) == set(brute_automorphisms(g)), g
+
+
+def _is_automorphism(g, a):
+    """Whether the image tuple ``a`` maps g onto itself; the cost grows with
+    the vertices ``a`` moves, not with the edges of g."""
+    if sorted(a) != list(range(g.n)):
+        return False
+    moved = [v for v in range(g.n) if a[v] != v]
+    mask = sum(1 << v for v in moved)
+    for v in range(g.n):
+        image = g.rows[v] & ~mask
+        for u in moved:
+            if g.rows[v] >> u & 1:
+                image |= 1 << a[u]
+        if image != g.rows[a[v]]:
+            return False
+    return True
+
+
+def test_twin_heavy_graphs_at_max_order():
+    # Empty, complete, K32,32, 32K2, 16K4 and its complement: large twin
+    # classes, which the search cuts down to one child per level by the
+    # twin prune.
+    n = MAX_ORDER
+    empty = Graph(n, (0,) * n)
+    graphs = [empty, complete(n), complete_bipartite(n // 2, n // 2)]
+    for part in (2, 4):
+        g = complete(part)
+        while g.n < n:
+            g = disjoint_union(g, complete(part))
+        graphs.append(g)
+    graphs.append(complement(graphs[-1]))
+    rng = random.Random(19)
+    for g in graphs:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        key, autos = canonical_key(g)
+        assert form_of_key(n, key) == canonical_form(permuted(g, perm))
+        assert autos and all(_is_automorphism(g, a) for a in autos)
+    for g in (empty, complete(n)):
+        assert canonical_form(g) == encode_graph6(g).encode("ascii")
 
 
 def test_are_isomorphic_examples():

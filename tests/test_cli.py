@@ -1,7 +1,14 @@
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import critenum
 from critenum import (
     Graph,
     chromatic_number,
@@ -329,6 +336,53 @@ def test_enumerate_unwritable_out_fails_before_search(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "expanding" not in err
     assert not out.parent.exists()
+
+
+def test_failed_enumerate_leaves_no_new_out_file(tmp_path, capsys):
+    # an empty --out file would read as a valid list with no graphs in it
+    out, kept = tmp_path / "new.g6", tmp_path / "kept.g6"
+    kept.write_text("old contents\n")
+    for extra in (["--seed", "p5", "--max-order", "7"],
+                  ["--forbid", "k1,3+p1", "--seed", "auto", "--max-order", "99"]):
+        for target in (out, kept):
+            code, _, err = run(["enumerate", "--k", "5", "--forbid", "p5", *extra,
+                                "--out", str(target)], capsys)
+            assert code == 1 and err.startswith("error:"), err
+    assert not out.exists()
+    assert kept.read_text() == "old contents\n"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+def test_enumerate_jobs_2_exits_on_sigint(tmp_path):
+    # A worker killed mid-task never returns its result, so the pool must
+    # be terminated, not joined.
+    env = dict(os.environ, PYTHONPATH=str(Path(critenum.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "critenum.cli", "enumerate", "--k", "5", "--forbid", "p5",
+           "--forbid", "k1,4+p1", "--seed", "auto", "--max-order", "13", "--jobs", "2",
+           "--out", str(tmp_path / "x.g6")]
+    proc = subprocess.Popen(cmd, stderr=subprocess.PIPE, text=True, env=env,
+                            start_new_session=True)
+    try:
+        for line in proc.stderr:
+            m = re.match(r"  expanding \d+ graphs of order (\d+)$", line)
+            if m and int(m[1]) >= 8:
+                break
+        else:
+            pytest.fail(f"the run ended before order 8 with exit code {proc.wait()}")
+        time.sleep(0.5)  # well into the next level, so both workers are mid-task
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.communicate(timeout=15)
+        assert proc.returncode != 0
+        assert not (tmp_path / "x.g6").exists()
+        with pytest.raises(ProcessLookupError):  # no worker is left behind
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_non_ascii_graph6_names_file_and_line(tmp_path, capsys):
