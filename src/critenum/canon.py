@@ -23,27 +23,32 @@ invariant, and it is a graph isomorphic to the input.
 If an automorphism s fixes every vertex of a node's path, equivariance
 maps the node onto itself and the subtree below child v onto the subtree
 below child s(v), leaf for leaf with equal codes.  The search skips child
-v when that makes it a copy of a child already done (searched, or skipped
-as a copy itself), so every pruned subtree only repeats leaf codes that
-were already seen:
+v when such an s maps v onto a lower vertex of the target cell.  That
+child is searched or skipped in turn, so following the images downward
+ends at a searched child, whose subtree the composed automorphism maps onto
+v's; the argument does not depend on the order the children are taken in:
 
-- **Twins.**  If a done child u and v have equal neighborhoods apart from
-  each other, the transposition (u v) is an automorphism.  It fixes the
-  path, whose vertices are singletons and so neither u nor v.
+- **Twins.**  If u and v have equal neighborhoods apart from each other,
+  the transposition (u v) is an automorphism.  It fixes the path, whose
+  vertices are singletons and so neither u nor v.  A table of each
+  vertex's lower twins makes the test one AND.
 - **Stored automorphisms.**  Two leaves with equal codes give the
   automorphism that maps one vertex order onto the other; v is skipped if a
-  stored one fixes the path and maps v onto a done child.
+  stored one fixes the path and maps v onto a lower vertex of the cell.
 - **Return on automorphism.**  Let a leaf at path p have the code of an
   earlier leaf at path q, and let l be the first level where they differ.
   The automorphism s taking the leaf of p to the leaf of q maps p onto q
   (each individualized vertex sits at the start of its target cell in the
   vertex order), so it fixes ``p[:l]`` and maps child ``p[l]`` onto child
-  ``q[l]`` of the same node, which is done since the search is depth
-  first.  The rest of the subtree below ``p[:l + 1]`` is skipped.
+  ``q[l]`` of the same node, which was searched first since the search is
+  depth first.  The rest of the subtree below ``p[:l + 1]`` is skipped.
 
-The search also returns the automorphisms it found: the stored leaf
-automorphisms and the twin transpositions it pruned on.  The enumeration
-uses them to skip children that are automorphic images of a sibling.
+The search also returns automorphisms: the stored leaf automorphisms, and
+the swap of each vertex that has a twin with its least twin.  A vertex has
+false twins (equal open neighborhoods) or true twins (equal closed ones),
+never both, so a twin class of m vertices gives m - 1 swaps, which generate
+all its permutations.  The enumeration uses the automorphisms to skip
+children that are automorphic images of a sibling.
 
 :func:`canonical_form` is the graph6 encoding of the canonically relabeled
 graph, so it doubles as a ready-to-write output line.  The enumeration
@@ -124,25 +129,23 @@ def _relabeled(rows, order) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _transposition(n: int, u: int, v: int) -> bytes:
-    """The permutation of 0..n-1 that swaps u and v."""
-    swap = list(range(n))
-    swap[u], swap[v] = v, u
-    return bytes(swap)
+def canonical_form(g: Graph) -> CanonicalForm:
+    """Order-prefixed byte fingerprint of the isomorphism class of ``g``."""
+    return form_of_key(g.n, canonical_key(g)[0])
 
 
-def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
-    """The canonical rows of ``g`` and the automorphisms the search found.
+def canonical_key(g: Graph) -> tuple[int, list[bytes]]:
+    """The canonical rows packed into one int, and the automorphisms found.
 
-    Each automorphism s is a ``bytes`` of length ``g.n`` with ``s[v]`` the
-    image of v: the stored leaf automorphisms and the twin transpositions
-    the search pruned on, each listed once.
+    Row i takes bits ``i * n`` to ``i * n + n - 1``, so the key identifies
+    the class among graphs of one order only; :func:`form_of_key` turns it
+    into the canonical form.  Each automorphism s is a ``bytes`` of length
+    ``g.n`` with ``s[v]`` the image of v, each listed once.
     """
     n = g.n
     rows = g.rows
     best: tuple[int, ...] | None = None
     autos: list[bytes] = []
-    twins: set[tuple[int, int]] = set()
     leaf_seen: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
 
     def visit_leaf(cells, path) -> int:
@@ -175,18 +178,14 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
             return visit_leaf(cells, path)
         depth = len(path)
         cmask = masks[ci]
-        done: list[int] = []
         for v in cell:
-            rv = rows[v]
-            if done:
-                twin = next((u for u in done if not (rows[u] ^ rv) & ~(1 << u | 1 << v)), None)
-                if twin is not None:
-                    twins.add((twin, v))
-                if twin is not None or any(s[v] in done and all(s[f] == f for f in path)
-                                           for s in autos):
-                    done.append(v)
-                    continue
             bit = 1 << v
+            done = cmask & (bit - 1)
+            if done and (twins_below[v] & done
+                         or any(done >> s[v] & 1 and all(s[f] == f for f in path)
+                                for s in autos)):
+                continue
+            rv = rows[v]
             sub_cells = cells[:ci] + [[v], [w for w in cell if w != v]] + cells[ci + 1 :]
             sub_masks = masks[:ci] + [bit, cmask ^ bit] + masks[ci + 1 :]
             # The first round of refinement after individualizing v in an
@@ -209,7 +208,6 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
             back = descend(sub_cells, sub_masks, path + (v,))
             if back < depth:
                 return back
-            done.append(v)
         return n
 
     # The first round on the one-cell partition splits it by degree; each
@@ -220,31 +218,30 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[bytes]]:
     cells = [degree_cells[d] for d in sorted(degree_cells)]
     masks = [sum([1 << v for v in c]) for c in cells]
     _refine(rows, cells, masks, [(1 << n) - 1] * len(cells))
+    # twins_below[v] is the mask of v's twins below v, which share its root
+    # cell.  False twins share open rows, true twins closed rows.  One dict
+    # holds both, as rows[u] == rows[w] | 1 << w would put w in rows[u], so
+    # u in rows[w], a subset of rows[u], which has no bit u.
+    twins_below = [0] * n
+    below: dict[int, int] = {}
+    for cell in cells:
+        if len(cell) > 1:
+            for v in cell:
+                for twin_key in (rows[v], rows[v] | 1 << v):
+                    twins_below[v] |= below.get(twin_key, 0)
+                    below[twin_key] = below.get(twin_key, 0) | 1 << v
     descend(cells, masks, ())
     assert best is not None
-    autos += [_transposition(n, u, v) for u, v in twins]
-    return best, list(dict.fromkeys(autos))
-
-
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Order-prefixed byte fingerprint of the isomorphism class of ``g``."""
-    return form_of_key(g.n, canonical_key(g)[0])
-
-
-def canonical_key(g: Graph) -> tuple[int, list[bytes]]:
-    """The canonical rows packed into one int, and the automorphisms found.
-
-    Row i takes bits ``i * n`` to ``i * n + n - 1``, so the key identifies
-    the class among graphs of one order only; :func:`form_of_key` turns it
-    into the canonical form.  The automorphisms are as in
-    :func:`_canonical_search`.
-    """
-    n = g.n
-    rows, autos = _canonical_search(g)
+    for v, tb in enumerate(twins_below):
+        if tb:
+            swap = list(range(n))
+            u = (tb & -tb).bit_length() - 1
+            swap[u], swap[v] = v, u
+            autos.append(bytes(swap))
     key = 0
-    for r in reversed(rows):
+    for r in reversed(best):
         key = key << n | r
-    return key, autos
+    return key, list(dict.fromkeys(autos))
 
 
 def form_of_key(n: int, key: int) -> CanonicalForm:
@@ -256,4 +253,4 @@ def form_of_key(n: int, key: int) -> CanonicalForm:
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
-    return _canonical_search(g)[0] == _canonical_search(h)[0]
+    return canonical_key(g)[0] == canonical_key(h)[0]

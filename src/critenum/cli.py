@@ -5,7 +5,7 @@ stderr.  Exit codes: ``enumerate`` returns 0 when the search closed below
 the order cap and 2 when branches were truncated; ``certify`` returns 0
 for a coloring, 1 for a witness, 3 for a precondition violation and 4 for
 other errors; the remaining commands return 0 on success and 1 on any
-failure or error.
+failure or error.  Ctrl-C ends any command with exit code 130.
 """
 
 from __future__ import annotations
@@ -296,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, Graph6Error, OSError) as exc:
         _p(f"error: {exc}")
         return 4 if args.command == "certify" else 1
+    except KeyboardInterrupt:
+        _p("error: interrupted")
+        return 130
 
 
 if __name__ == "__main__":

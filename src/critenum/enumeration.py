@@ -123,7 +123,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .canon import CanonicalForm, canonical_form, canonical_key, form_of_key
+from .canon import CanonicalForm, are_isomorphic, canonical_form, canonical_key, form_of_key
 from .coloring import is_k_colorable
 from .critical import find_xy_obstruction, noncritical_vertex
 from .graph6 import encode_graph6
@@ -431,12 +431,10 @@ NAMED_H_MAX_ORDER = {
 }
 
 
-def default_max_order_for(h: Pattern) -> int | None:
+def default_max_order_for(h: PatternLike) -> int | None:
     """Known maximum critical order when ``h`` is one of the named companions."""
-    from .canon import are_isomorphic
-
     for name, cap in NAMED_H_MAX_ORDER.items():
-        if are_isomorphic(h.graph, parse_pattern(name).graph):
+        if are_isomorphic(_pattern_graph(h), parse_pattern(name).graph):
             return cap
     return None
 
@@ -450,7 +448,7 @@ def sporadic_graphs() -> list[Graph]:
 
 
 def enumerate_5vc(
-    h: Pattern,
+    h: PatternLike,
     max_order: int | None = None,
     pruning: bool = True,
     jobs: int = 1,
@@ -469,7 +467,8 @@ def enumerate_5vc(
     if max_order is None:
         max_order = default_max_order_for(h)
         if max_order is None:
-            raise ValueError(f"no default max_order for pattern {h.name!r}; pass one")
+            name = h.name if isinstance(h, Pattern) else encode_graph6(h)
+            raise ValueError(f"no default max_order for pattern {name!r}; pass one")
     seeds = [g for g in sporadic_graphs() + seed_graphs() if is_family_free(g, family)]
     cfg = SearchConfig(k=5, family=family, max_order=max_order,
                        seeds=tuple(seeds), pruning=pruning)

@@ -254,8 +254,16 @@ def test_twin_heavy_graphs_at_max_order():
         key, autos = canonical_key(g)
         assert form_of_key(n, key) == canonical_form(permuted(g, perm))
         assert autos and all(_is_automorphism(g, a) for a in autos)
+    # one twin class of 64: the 63 swaps (0 v) generate its group
+    swaps = set()
+    for v in range(1, n):
+        swap = list(range(n))
+        swap[0], swap[v] = v, 0
+        swaps.add(bytes(swap))
     for g in (empty, complete(n)):
         assert canonical_form(g) == encode_graph6(g).encode("ascii")
+        autos = canonical_key(g)[1]
+        assert len(autos) == n - 1 and set(autos) == swaps
 
 
 def test_are_isomorphic_examples():

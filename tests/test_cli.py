@@ -352,13 +352,11 @@ def test_failed_enumerate_leaves_no_new_out_file(tmp_path, capsys):
     assert kept.read_text() == "old contents\n"
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
-def test_enumerate_jobs_2_exits_on_sigint(tmp_path):
-    # A worker killed mid-task never returns its result, so the pool must
-    # be terminated, not joined.
+def _interrupt_enumerate(tmp_path, jobs):
+    """SIGINT a k1,4+p1 run past order 8: one error line, exit 130, no --out."""
     env = dict(os.environ, PYTHONPATH=str(Path(critenum.__file__).parents[1]))
     cmd = [sys.executable, "-m", "critenum.cli", "enumerate", "--k", "5", "--forbid", "p5",
-           "--forbid", "k1,4+p1", "--seed", "auto", "--max-order", "13", "--jobs", "2",
+           "--forbid", "k1,4+p1", "--seed", "auto", "--max-order", "13", "--jobs", str(jobs),
            "--out", str(tmp_path / "x.g6")]
     proc = subprocess.Popen(cmd, stderr=subprocess.PIPE, text=True, env=env,
                             start_new_session=True)
@@ -369,10 +367,11 @@ def test_enumerate_jobs_2_exits_on_sigint(tmp_path):
                 break
         else:
             pytest.fail(f"the run ended before order 8 with exit code {proc.wait()}")
-        time.sleep(0.5)  # well into the next level, so both workers are mid-task
+        time.sleep(0.5)  # well into the next level, so any workers are mid-task
         os.killpg(proc.pid, signal.SIGINT)
-        proc.communicate(timeout=15)
-        assert proc.returncode != 0
+        _, err = proc.communicate(timeout=15)
+        assert proc.returncode == 130
+        assert "Traceback" not in err and err.splitlines()[-1] == "error: interrupted", err
         assert not (tmp_path / "x.g6").exists()
         with pytest.raises(ProcessLookupError):  # no worker is left behind
             os.killpg(proc.pid, 0)
@@ -383,6 +382,17 @@ def test_enumerate_jobs_2_exits_on_sigint(tmp_path):
             pass
         proc.wait()
         proc.stderr.close()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+def test_enumerate_jobs_2_exits_on_sigint(tmp_path):
+    # A worker killed mid-task never returns its result, so the pool must
+    # be terminated, not joined.
+    _interrupt_enumerate(tmp_path, 2)
+
+
+def test_enumerate_jobs_1_exits_on_sigint(tmp_path):
+    _interrupt_enumerate(tmp_path, 1)
 
 
 def test_non_ascii_graph6_names_file_and_line(tmp_path, capsys):

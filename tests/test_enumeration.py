@@ -16,9 +16,11 @@ from critenum import (
     canonical_form,
     complement,
     complete,
+    complete_bipartite,
     cycle,
     default_max_order_for,
     disjoint_union,
+    encode_graph6,
     enumerate_5vc,
     find_comparable_pair,
     find_xy_obstruction,
@@ -143,6 +145,16 @@ def test_default_max_orders():
     assert default_max_order_for(P5) is None
     with pytest.raises(ValueError):
         enumerate_5vc(parse_pattern("c4"))
+
+
+def test_plain_graph_companion_equals_pattern():
+    # enumerate_5vc and default_max_order_for take a Graph, as the family does
+    claw_p1 = disjoint_union(complete_bipartite(1, 3), complete(1))
+    assert default_max_order_for(claw_p1) == 13
+    assert enumerate_5vc(claw_p1, max_order=8) == enumerate_5vc(H13, max_order=8)
+    with pytest.raises(ValueError) as exc:
+        enumerate_5vc(cycle(4))
+    assert repr(encode_graph6(cycle(4))) in str(exc.value)  # a Graph has no name
 
 
 def test_pruning_differential_small_cap():
