@@ -56,7 +56,9 @@ def certify_4_colorability(
 
     ``critical_list`` is scanned by order, ties in list position, so the
     returned witness has minimal order; ``list_index`` refers to the
-    caller's list positions.
+    caller's list positions.  The outcome and ``list_index`` depend only on
+    ``g`` and the list; the witness's vertex set is the copy of that member
+    :func:`find_induced` returns, one of possibly several.
     """
     family = tuple(family)
     if not is_family_free(g, family):

@@ -13,6 +13,16 @@ Pattern grammar (case-insensitive, spaces ignored)::
 Containment is always *induced*: a pattern embeds only if edges and
 non-edges are both preserved.
 
+The induced-subgraph search finds each copy of P once, not once per
+automorphism of P, by symmetry-breaking conditions f(a) < f(b) read off
+Aut(P) (Grochow and Kellis, "Network motif discovery using subgraph
+enumeration and symmetry-breaking", RECOMB 2007).  Each step of the match
+order is kept below the later steps that an automorphism fixing the
+earlier steps can map it to, so every embedding has an automorphic image
+that meets the conditions (:func:`_search` gives the argument).  For P5
+that is one condition, the reflection; for K1,3+P1 and K1,4+P1 a chain on
+the leaves; for co(K3+2P1) a chain on each class of twins.
+
 Freeness of one-vertex extensions is decided once per parent.  For a
 family-free g, a pattern P and one representative r of each automorphism
 orbit of P, every induced copy of P - r in g is a trace (C, A): its image C
@@ -225,46 +235,77 @@ def _match_order(pg: Graph, pinned: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(order)
 
 
-@lru_cache(maxsize=512)
+def _steps(pg: Graph, order: tuple[int, ...]) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """Per step of ``order``, the earlier steps with whether their vertices are adjacent."""
+    return tuple(tuple((t, bool(pg.rows[v] >> order[t] & 1)) for t in range(s))
+                 for s, v in enumerate(order))
+
+
+@lru_cache(maxsize=None)  # keyed on patterns and list members only: a whole list stays cached
 def _match_plan(pg: Graph, pinned: tuple[int, ...]):
+    """The match order of ``pg`` with ``pinned`` first, and the plan :func:`_embed` runs.
+
+    The plan gives per step the earlier steps with whether they are
+    adjacent, the degree, and ``above``: the earlier unpinned steps s whose
+    host vertex must lie below this step's, those such that an automorphism
+    of P fixing ``order[:s]`` pointwise maps ``order[s]`` to this step's
+    vertex (:func:`_search` says why).  The table is built downward over s.
+    Whether such an automorphism maps ``order[s]`` to ``order[t]`` is one
+    run of the plan from P into P, with steps 0..s pinned at
+    ``order[:s] + (order[t],)``: the greedy order continues every prefix of
+    itself, so that run's plan is this one with the conditions of the
+    steps above s, the ones found so far.  A step's hits are added only
+    after all of its runs.  A condition that two others already imply,
+    through a later step of the same orbit, is left out.
+    """
     order = _match_order(pg, pinned)
-    prev = []
-    for s, v in enumerate(order):
-        prev.append(tuple((t, bool((pg.rows[v] >> order[t]) & 1)) for t in range(s)))
+    prev = _steps(pg, order)
     degs = tuple(pg.rows[v].bit_count() for v in order)
-    return order, tuple(prev), degs
+    above: list[tuple[int, ...]] = [()] * pg.n
+    plan = (prev, degs, above)
+    for s in range(pg.n - 2, len(pinned) - 1, -1):
+        fixed = order[:s]
+        hits = [t for t in range(s + 1, pg.n) if _embed(pg, plan, fixed + (order[t],))]
+        for t in hits:
+            if not any(u in hits for u in above[t]):
+                above[t] = (s,) + above[t]
+    return order, (prev, degs, tuple(above))
 
 
 def _degree_masks(host: Graph, thresholds: tuple[int, ...]) -> list[int]:
-    hdegs = [r.bit_count() for r in host.rows]
-    out = []
-    for d in thresholds:
-        m = 0
-        for v, hd in enumerate(hdegs):
-            if hd >= d:
-                m |= 1 << v
-        out.append(m)
-    return out
+    """Per threshold d, the host vertices of degree at least d."""
+    top = max(thresholds, default=0)
+    at_least = [0] * (top + 1)  # at first: the vertices of degree d, or of top and more
+    bit = 1
+    for r in host.rows:
+        d = r.bit_count()
+        at_least[d if d < top else top] |= bit
+        bit <<= 1
+    for d in range(top - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    return [at_least[d] for d in thresholds]
 
 
-def _search(host: Graph, pg: Graph, pinned: tuple[int, ...], images: tuple[int, ...]):
-    """The first induced embedding of ``pg`` into ``host`` that maps ``pinned`` onto ``images``."""
-    if pg.n > host.n:
+def _embed(host: Graph, plan, images: tuple[int, ...]) -> list[int] | None:
+    """The host vertex of each step of the first embedding the plan finds, the first steps at ``images``."""
+    prev, degs, above = plan
+    pn = len(prev)
+    if pn > host.n:
         return None
-    order, prev, degs = _match_plan(pg, pinned)
     degmasks = _degree_masks(host, degs)
     for s, h in enumerate(images):
         if not (degmasks[s] >> h) & 1:
             return None
         degmasks[s] = 1 << h
     hrows = host.rows
-    pn = pg.n
     assigned = [-1] * pn
 
     def dfs(s: int, used: int) -> bool:
         if s == pn:
             return True
         cand = degmasks[s] & ~used
+        for t in above[s]:
+            cand &= -2 << assigned[t]  # the host vertices above step t's
         for t, is_edge in prev[s]:
             h = assigned[t]
             cand &= hrows[h] if is_edge else ~hrows[h]
@@ -276,19 +317,54 @@ def _search(host: Graph, pg: Graph, pinned: tuple[int, ...], images: tuple[int, 
             assigned[s] = b.bit_length() - 1
             if dfs(s + 1, used | b):
                 return True
-        assigned[s] = -1
         return False
 
-    if not dfs(0, 0):
+    return assigned if dfs(0, 0) else None
+
+
+def _search(host: Graph, pg: Graph, pinned: tuple[int, ...], images: tuple[int, ...]):
+    """The first induced embedding of ``pg`` into ``host`` that maps ``pinned`` onto ``images``.
+
+    Only one embedding per copy of P is enumerated, the least in the match
+    order (Grochow and Kellis, "Network motif discovery using subgraph
+    enumeration and symmetry-breaking", RECOMB 2007): each unpinned step s
+    gets the condition f(order[s]) < f(order[t]) for every later step t
+    whose vertex an automorphism of P fixing ``order[:s]`` pointwise maps
+    ``order[s]`` to.  Call G_s those automorphisms, and O_s the orbit of
+    ``order[s]`` under G_s.
+
+    No copy is lost.  Take any embedding f that respects the pins and, for
+    s from the first unpinned step up, replace f by f composed with the
+    element of G_s that sends ``order[s]`` to the member of O_s with the
+    least image.  Then f maps ``order[s]`` to the least image on O_s, as
+    the condition of step s asks.  The composition keeps the earlier
+    steps' conditions: an element of G_s fixes ``order[:s]`` and, as G_s
+    lies in each earlier G_r, maps each earlier O_r onto itself, so the
+    least image on O_r stays at ``order[r]``.  It keeps the pins too, as
+    G_s fixes them; a pinned step gets no condition, since moving it would
+    break its pin.  No copy is met twice either: if f and f composed with
+    g meet the conditions, g != 1, the first step s that g moves has g in
+    G_s, and the conditions of step s contradict.  So a failing search walks
+    each copy once, not once per automorphism: 2 times fewer for P5, 6 for
+    K1,3+P1, 12 for co(K3+2P1).  Which copy a successful search returns
+    first can depend on the conditions.
+    """
+    order, plan = _match_plan(pg, pinned)
+    assigned = _embed(host, plan, images)
+    if assigned is None:
         return None
-    emb = [0] * pn
+    emb = [0] * pg.n
     for s, v in enumerate(order):
         emb[v] = assigned[s]
     return Embedding(tuple(emb))
 
 
 def find_induced(host: Graph, pattern: PatternLike) -> Embedding | None:
-    """Some induced embedding of ``pattern`` into ``host``, or None."""
+    """Some induced embedding of ``pattern`` into ``host``, or None.
+
+    Whether one exists is decided exactly; which copy comes back is the
+    first the symmetry-broken search meets, and is not specified.
+    """
     return _search(host, _pattern_graph(pattern), (), ())
 
 
@@ -343,7 +419,8 @@ def _anchored_plans(pg: Graph) -> tuple[tuple[tuple, tuple[int, ...], tuple[int,
         nbrs = (nbrs & ((1 << r) - 1)) | ((nbrs >> (r + 1)) << r)
         rows = rest.rows
         for a in _orbit_leasts(pg, (r,)):
-            order, prev, _ = _match_plan(rest, (a - (a > r),))
+            order = _match_order(rest, (a - (a > r),))
+            prev = _steps(rest, order)
             before = []
             for s, u in enumerate(order):
                 twins = [t for t in range(s)

@@ -7,9 +7,10 @@ criticality enumerates every proper subgraph, and the canonical form
 explores every branch of the individualization-refinement tree.
 Automorphisms are found by trying every permutation.  Forbidden traces come
 from every induced embedding of P - r for every vertex r, found by plain
-backtracking, and extension masks are filtered one mask at a time.  The
-reference generator extends every graph by every neighborhood; it dedups
-with the canonical form, so it checks the search, not canon.
+backtracking, and extension masks are filtered one mask at a time.  Pinned
+searches are checked against the same embeddings of P.  The reference
+generator extends every graph by every neighborhood; it dedups with the
+canonical form, so it checks the search, not canon.
 """
 
 from __future__ import annotations
@@ -250,6 +251,12 @@ def brute_forbidden_traces(host: Graph, family) -> dict[int, set[int]]:
                 a = sum(1 << h for u, h in enumerate(emb) if pg.has_edge(r, nbrs[u]))
                 out.setdefault(c, set()).add(a)
     return out
+
+
+def pinned_images(host: Graph, pattern: Graph) -> set[tuple[int, int]]:
+    """Every (a, h) such that some induced embedding of ``pattern`` maps a to h,
+    read off every embedding found by plain backtracking."""
+    return {(a, h) for emb in _induced_embeddings(host, pattern) for a, h in enumerate(emb)}
 
 
 def _induced_embeddings(host: Graph, pattern: Graph):

@@ -23,12 +23,20 @@ from critenum import (
 )
 import critenum.patterns
 from critenum.patterns import (
+    _match_plan,
     _orbit_leasts,
+    _search,
     _vertex_bitmaps,
     forbidden_through,
     set_bits,
 )
-from oracles import brute_forbidden_traces, random_graph, scan_extension_masks, scan_induced
+from oracles import (
+    brute_forbidden_traces,
+    pinned_images,
+    random_graph,
+    scan_extension_masks,
+    scan_induced,
+)
 
 
 def test_parse_basic_atoms():
@@ -92,7 +100,7 @@ def test_find_induced_examples():
 
 def test_find_induced_agrees_with_scan():
     rng = random.Random(37)
-    patterns = [path(5), cycle(4), complete(3), complete_bipartite(1, 3),
+    patterns = [path(5), cycle(4), cycle(5), complete(3), complete_bipartite(1, 3),
                 parse_pattern("k1,3+p1").graph, parse_pattern("co(k3+2p1)").graph]
     for _ in range(300):
         host = random_graph(rng, rng.randint(1, 8), rng.random())
@@ -101,6 +109,67 @@ def test_find_induced_agrees_with_scan():
         assert (emb is not None) == scan_induced(host, pat)
         if emb is not None:
             assert embedding_is_induced(host, pat, emb)
+
+
+@pytest.mark.parametrize("name", ["p5", "c5", "c4", "k4", "3p1", "k1,3+p1", "k1,4+p1",
+                                  "co(k3+2p1)"])
+def test_pinned_search_agrees_with_all_embeddings(name):
+    # pinned at any vertex a of P: the symmetry-breaking conditions start after the pin
+    rng = random.Random(20261019)
+    pg = parse_pattern(name).graph
+    found = missed = 0
+    for _ in range(40):
+        host = random_graph(rng, rng.randint(pg.n, 9), rng.random())
+        if rng.random() < 0.5:  # plant a copy of P on random vertices
+            where = rng.sample(range(host.n), pg.n)
+            rows = list(host.rows)
+            for a, b in itertools.combinations(range(pg.n), 2):
+                u, x = where[a], where[b]
+                if pg.has_edge(a, b) != host.has_edge(u, x):
+                    rows[u] ^= 1 << x
+                    rows[x] ^= 1 << u
+            host = Graph(host.n, rows)
+        brute = pinned_images(host, pg)
+        for a in range(pg.n):
+            for h in range(host.n):
+                emb = _search(host, pg, (a,), (h,))
+                assert (emb is not None) == ((a, h) in brute), (name, host, a, h)
+                if emb is not None:
+                    assert emb.map[a] == h and embedding_is_induced(host, pg, emb)
+                found += emb is not None
+                missed += emb is None
+    assert found > 50 and missed > 50
+
+
+def _conditions(pg, pinned=()):
+    """The (u, x) such that the search maps u below x, as vertices of P."""
+    order, (_, _, above) = _match_plan(pg, pinned)
+    return {(order[s], order[t]) for t, steps in enumerate(above) for s in steps}
+
+
+def test_symmetry_conditions_of_the_named_patterns():
+    # P5 0-1-2-3-4: its reflection; K1,3+P1 and K1,4+P1: center 0, isolated
+    # vertex last; co(K3+2P1): the 3-class 0, 1, 2 and the 2-class 3, 4
+    assert _conditions(path(5)) == {(1, 3)}
+    assert _conditions(parse_pattern("k1,3+p1").graph) == {(1, 2), (2, 3)}
+    assert _conditions(parse_pattern("k1,4+p1").graph) == {(1, 2), (2, 3), (3, 4)}
+    assert _conditions(parse_pattern("co(k3+2p1)").graph) == {(0, 1), (1, 2), (3, 4)}
+    # a pinned vertex gets no condition, and those after it only the stabilizer's
+    assert _conditions(path(5), (1,)) == set()
+    assert _conditions(parse_pattern("k1,3+p1").graph, (1,)) == {(2, 3)}
+    assert _conditions(cycle(5), (0,)) == {(1, 4)}
+
+
+def test_plans_of_a_long_list_stay_cached():
+    # 600 distinct five-vertex graphs, more than a bounded cache of 512 plans holds
+    pairs = list(itertools.combinations(range(5), 2))
+    members = [Graph.from_edges(5, [e for i, e in enumerate(pairs) if m >> i & 1])
+               for m in range(600)]
+    host = cycle(6)
+    first = [find_induced(host, h) for h in members]
+    misses = _match_plan.cache_info().misses
+    assert [find_induced(host, h) for h in members] == first
+    assert _match_plan.cache_info().misses == misses
 
 
 def test_is_family_free():
