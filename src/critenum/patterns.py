@@ -38,9 +38,10 @@ traces through v.  P1 - r is empty: its one trace (0, 0) has no vertex,
 so no search finds it, and the caller adds it (P1 forbids every extension).
 The search places one vertex a of P - r at v first.  One a per orbit of
 the stabilizer of r in Aut(P) is enough, since such an automorphism keeps
-every trace, and the embeddings are enumerated up to swaps of twins of P,
-each twin class mapped to decreasing host vertices.  For P5, K1,3+P1,
-K1,4+P1 and co(K3+2P1) each trace then comes from exactly one embedding.
+every trace, and the embeddings are enumerated under the conditions of
+the induced-subgraph search pinned at r and a.  So one table of
+conditions serves both searches, and each trace of any P comes from
+exactly one embedding.
 
 The search keeps no traces: it applies each one to all 2^(v+1) candidate
 neighborhoods at once, as a bitmap indexed by the neighborhood, and
@@ -61,7 +62,6 @@ from .graphs import (
     complete,
     complete_bipartite,
     cycle,
-    delete_vertex,
     disjoint_union,
     path,
 )
@@ -235,12 +235,6 @@ def _match_order(pg: Graph, pinned: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _steps(pg: Graph, order: tuple[int, ...]) -> tuple[tuple[tuple[int, bool], ...], ...]:
-    """Per step of ``order``, the earlier steps with whether their vertices are adjacent."""
-    return tuple(tuple((t, bool(pg.rows[v] >> order[t] & 1)) for t in range(s))
-                 for s, v in enumerate(order))
-
-
 @lru_cache(maxsize=None)  # keyed on patterns and list members only: a whole list stays cached
 def _match_plan(pg: Graph, pinned: tuple[int, ...]):
     """The match order of ``pg`` with ``pinned`` first, and the plan :func:`_embed` runs.
@@ -259,7 +253,8 @@ def _match_plan(pg: Graph, pinned: tuple[int, ...]):
     through a later step of the same orbit, is left out.
     """
     order = _match_order(pg, pinned)
-    prev = _steps(pg, order)
+    prev = tuple(tuple((t, bool(pg.rows[v] >> order[t] & 1)) for t in range(s))
+                 for s, v in enumerate(order))
     degs = tuple(pg.rows[v].bit_count() for v in order)
     above: list[tuple[int, ...]] = [()] * pg.n
     plan = (prev, degs, above)
@@ -404,30 +399,21 @@ def free_after_extension(host: Graph, family: Iterable[PatternLike], new_vertex:
 
 
 @lru_cache(maxsize=512)
-def _anchored_plans(pg: Graph) -> tuple[tuple[tuple, tuple[int, ...], tuple[int, ...]], ...]:
+def _anchored_plans(pg: Graph) -> tuple[tuple[tuple, tuple[bool, ...], tuple], ...]:
     """One search plan of P - r per orbit representative r and anchor a of its stabilizer.
 
-    Each plan follows the match order of P - r that places a first and
-    gives, per step: the earlier steps with whether they are adjacent, whether
-    the vertex is in N_P(r), and the latest earlier step that places a twin
-    in P of the same vertex (see :func:`forbidden_through`), or -1.
+    Each plan is the plan of P pinned at (r, a) less r's step: per step of
+    P - r, the earlier steps with whether they are adjacent, whether the
+    vertex is in N_P(r), and the earlier steps whose host vertex must lie
+    below this step's (see :func:`forbidden_through`).
     """
     plans = []
     for r in _orbit_leasts(pg, ()):
-        rest = delete_vertex(pg, r)  # vertices above r shift down by one
-        nbrs = pg.rows[r]
-        nbrs = (nbrs & ((1 << r) - 1)) | ((nbrs >> (r + 1)) << r)
-        rows = rest.rows
         for a in _orbit_leasts(pg, (r,)):
-            order = _match_order(rest, (a - (a > r),))
-            prev = _steps(rest, order)
-            before = []
-            for s, u in enumerate(order):
-                twins = [t for t in range(s)
-                         if rows[u] & ~(1 << order[t]) == rows[order[t]] & ~(1 << u)
-                         and (nbrs >> u & 1) == (nbrs >> order[t] & 1)]
-                before.append(twins[-1] if twins else -1)
-            plans.append((prev, tuple(nbrs >> u & 1 for u in order), tuple(before)))
+            _, (prev, _, above) = _match_plan(pg, (r, a))
+            plans.append((tuple(tuple((t - 1, e) for t, e in steps[1:]) for steps in prev[1:]),
+                          tuple(steps[0][1] for steps in prev[1:]),
+                          tuple(tuple(t - 1 for t in steps) for steps in above[1:])))
     return tuple(plans)
 
 
@@ -450,14 +436,14 @@ def _vertex_bitmaps(n: int) -> tuple[tuple[int, int], ...]:
 def _forbidden_by_plan(host: Graph, v: int, plan, sides) -> int:
     """The cubes of the embeddings of the plan whose anchor maps to v and the rest below v, ORed.
 
-    Only the embeddings that map each step s below the host vertex of step
-    ``before[s]`` are enumerated.  Each path of the search carries the cube
-    of the vertices it has placed, so a step costs one AND.  A step works
-    out the candidates of the next one for each vertex it places, and when
-    the next one is the last, ORs their sides before the one AND with the
-    cube instead of going deeper.
+    Only the embeddings that map each step above the host vertices of the
+    steps in its ``above`` are enumerated.  Each path of the search carries
+    the cube of the vertices it has placed, so a step costs one AND.  A step
+    works out the candidates of the next one for each vertex it places, and
+    when the next one is the last, ORs their sides before the one AND with
+    the cube instead of going deeper.
     """
-    prev, marked, before = plan
+    prev, marked, above = plan
     pn = len(prev)
     if pn > v + 1:
         return 0
@@ -474,7 +460,7 @@ def _forbidden_by_plan(host: Graph, v: int, plan, sides) -> int:
         nonlocal forbidden
         mark = marked[s]
         nxt = s + 1
-        nprev, ntwin, nmark = prev[nxt], before[nxt], marked[nxt]
+        nprev, nabove, nmark = prev[nxt], above[nxt], marked[nxt]
         while cand:
             b = cand & -cand
             cand ^= b
@@ -482,8 +468,9 @@ def _forbidden_by_plan(host: Graph, v: int, plan, sides) -> int:
             placed[s] = hrows[h]
             chosen[s] = b
             c = below & ~(used | b)
-            if ntwin >= 0:  # below the twin placed at step ntwin
-                c &= chosen[ntwin] - 1
+            if nabove:  # the loop alone costs an iterator per placement
+                for t in nabove:  # above the host vertex of step t
+                    c &= -(chosen[t] << 1)
             for t, is_edge in nprev:
                 c &= placed[t] if is_edge else ~placed[t]
                 if not c:
@@ -527,20 +514,21 @@ def forbidden_through(g: Graph, family: Iterable[PatternLike], v: int) -> int:
     not try every vertex of P - r at v: the least vertex a of each orbit of
     the stabilizer of r, placed first, is enough (f composed with the
     automorphism that takes a to f^-1(v) maps a to v).  For P5 minus its
-    middle vertex, 2P2, that is 2 anchors against 4 twin classes: the
+    middle vertex, 2P2, that is 2 anchors against 4 vertices: the
     reflection fixes r and swaps the two end pairs.
 
-    Within a plan, not every embedding is enumerated either.  Call u, x in
-    P - r twins when they are twins in P: N_P(u) - x = N_P(x) - u, so both
-    are in N_P(r) or both are not.  Then the swap (u x) is an automorphism
-    of P that fixes r, and an embedding f and f composed with (u x) have
-    the same image and the same image of N_P(r): the same trace.  Being
-    twins is an equivalence relation, and the swaps within its classes
-    generate every permutation of each class, so each embedding has an
-    equivalent one that maps each class to decreasing host vertices, in
-    the order the search places them.  Sorting keeps a at v, since the
-    anchor is placed first and v is the highest vertex of the image.  Only
-    those embeddings are enumerated, and the traces are the same sets.
+    Within a plan, not every embedding is enumerated either: the plan keeps
+    the conditions that :func:`_search` reads off Aut(P) with r and a
+    pinned.  Two embeddings with the same trace, one of P - r and one of
+    P - r', extend to two copies of P on the same vertices with w in role
+    r and r', so an automorphism of P maps r to r': they share an orbit,
+    and r = r'.  If both put an anchor at v, that automorphism, which fixes
+    r, maps one anchor to the other, so the anchors share an orbit of the
+    stabilizer of r and are the same a, and it fixes a too.  By the
+    argument of :func:`_search` with r and a pinned, the conditions keep
+    exactly one embedding of each such class, and it has the same image,
+    so a stays at v and the rest below v.  So each trace through v is
+    reached exactly once, for any P.
     """
     sides = _vertex_bitmaps(v + 1)
     forbidden = 0

@@ -59,6 +59,8 @@ P5 = parse_pattern("p5")
 H13 = parse_pattern("k1,3+p1")
 H14 = parse_pattern("k1,4+p1")
 HCO = parse_pattern("co(k3+2p1)")
+P6 = parse_pattern("p6")
+C6 = parse_pattern("c6")
 
 
 def _children(g, cfg, autos=(), inherited=None):
@@ -340,14 +342,20 @@ def test_parent_classification_small_k_matches_no_prune(k, counts, nodes):
 
 
 @pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-prune"])
-@pytest.mark.parametrize("k, family", [(5, (P5, H13)), (5, (P5, HCO)), (4, (P5,)), (3, (P5,))],
-                         ids=["k5-k1,3+p1", "k5-co(k3+2p1)", "k4-p5", "k3-p5"])
+@pytest.mark.parametrize("k, family", [(5, (P5, H13)), (5, (P5, HCO)), (4, (P5,)), (3, (P5,)),
+                                       (4, (P6, C6))],
+                         ids=["k5-k1,3+p1", "k5-co(k3+2p1)", "k4-p5", "k3-p5", "k4-p6,c6"])
 def test_child_filter_against_per_child_oracle(k, family, pruning):
     # freeness and the obstruction reach the filter as traces, and pruning drops the
     # dead children; each child is checked on its own here
     rng = random.Random(20261022 + k)
     cfg = SearchConfig(k=k, family=family, max_order=64, pruning=pruning)
     parents = [complete(k - 1)]
+    # P5 with its middle vertex last, where it is allowed: C6 less a vertex r, with
+    # r's antipode anchored there, is searched under the reflection, a swap of no twins
+    p5_middle_last = Graph.from_edges(5, [(0, 1), (1, 4), (4, 2), (2, 3)])
+    if is_family_free(p5_middle_last, family):
+        parents.append(p5_middle_last)
     while len(parents) < 16:
         g = random_graph(rng, rng.randint(1, k + 3), rng.uniform(0.2, 0.8))
         if is_family_free(g, family) and is_k_colorable(g, k - 1) is not None:

@@ -23,6 +23,7 @@ from critenum import (
 )
 import critenum.patterns
 from critenum.patterns import (
+    _anchored_plans,
     _match_plan,
     _orbit_leasts,
     _search,
@@ -158,6 +159,30 @@ def test_symmetry_conditions_of_the_named_patterns():
     assert _conditions(path(5), (1,)) == set()
     assert _conditions(parse_pattern("k1,3+p1").graph, (1,)) == {(2, 3)}
     assert _conditions(cycle(5), (0,)) == {(1, 4)}
+
+
+def _trace_conditions(pg):
+    """Per representative r and anchor a, the (u, x) such that the trace search maps u below x."""
+    plans = iter(_anchored_plans(pg))
+    out = {}
+    for r in _orbit_leasts(pg, ()):
+        for a in _orbit_leasts(pg, (r,)):
+            order, _ = _match_plan(pg, (r, a))  # the trace plan drops r's step
+            above = next(plans)[2]
+            out[r, a] = {(order[s + 1], order[t + 1])
+                         for t, steps in enumerate(above) for s in steps}
+    return out
+
+
+def test_symmetry_conditions_of_the_trace_plans():
+    # the plan of P pinned at r and a, less r: K1,3+P1 with its center removed and its
+    # isolated vertex at v keeps the leaf chain; co(K3+2P1) with a vertex of the
+    # 2-class removed and the other at v keeps the 3-class chain; C6 with the
+    # antipode of r at v keeps the reflection, a swap of no twins
+    assert _trace_conditions(parse_pattern("k1,3+p1").graph)[0, 4] == {(1, 2), (2, 3)}
+    assert _trace_conditions(parse_pattern("co(k3+2p1)").graph)[3, 4] == {(0, 1), (1, 2)}
+    assert set(map(frozenset, _trace_conditions(path(5)).values())) == {frozenset()}
+    assert _trace_conditions(cycle(6)) == {(0, 1): set(), (0, 2): set(), (0, 3): {(1, 5)}}
 
 
 def test_plans_of_a_long_list_stay_cached():
@@ -315,8 +340,9 @@ def test_forbidden_traces_edge_cases():
 @pytest.mark.parametrize("name", ["p1", "p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)",
                                   "c4", "c5", "k4", "2p2"])
 def test_forbidden_traces_equal_all_embeddings(name, monkeypatch):
-    # one embedding per twin swap and one anchor per orbit lose no trace, and
-    # the bitmap through v forbids exactly what those traces forbid, mask by mask
+    # the conditions of the search pinned at r and a, and one anchor per orbit,
+    # lose no trace, and the bitmap through v forbids exactly what those traces
+    # forbid, mask by mask
     rng = random.Random(20261020)
     family = [parse_pattern(name)]
     for _ in range(40):
@@ -331,11 +357,13 @@ def test_forbidden_traces_equal_all_embeddings(name, monkeypatch):
             assert allowed == scan_extension_masks(through, v + 1), (name, g, v)
 
 
-@pytest.mark.parametrize("name", ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)"])
+@pytest.mark.parametrize("name", ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)",
+                                  "c4", "c5", "k4", "2p2", "c6", "k2,3"])
 def test_trace_search_reports_each_trace_once(name, monkeypatch):
-    # one anchor per orbit of the stabilizer of r and one embedding per twin
-    # swap: no trace is found twice (P5 - middle vertex has one anchor per
-    # end pair, not per twin class)
+    # one anchor per orbit of the stabilizer of r, and the conditions of the
+    # search pinned at r and a: no trace is found twice, for any P (C6 needs
+    # its reflection, which swaps no twins; P1 is left out, as a P1-free host
+    # is empty)
     rng = random.Random(20261023)
     family = [parse_pattern(name)]
     total = 0
