@@ -32,8 +32,7 @@ from .enumeration import (
     default_max_order_for,
     enumerate_5vc,
     recursively_enumerate,
-    seed_graphs,
-    sporadic_graphs,
+    seeds_for,
 )
 from .graph6 import (
     Graph6Error,

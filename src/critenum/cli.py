@@ -14,9 +14,7 @@ import argparse
 import os
 import sys
 from collections import Counter
-from functools import partial
 
-from .canon import are_isomorphic
 from .certify import IncompleteListError, NotInClassError, certify_4_colorability
 from .coloring import chromatic_number
 from .critical import is_k_critical_in_class, is_k_vertex_critical
@@ -24,8 +22,8 @@ from .enumeration import (
     NAMED_H_MAX_ORDER,
     SearchConfig,
     default_max_order_for,
-    enumerate_5vc,
     recursively_enumerate,
+    seeds_for,
 )
 from .graph6 import Graph6Error, ascii_lines, encode_graph6, read_graph6_file, write_graph6_file
 from .graphs import MAX_ORDER, Graph, bits, induced_subgraph
@@ -40,22 +38,6 @@ def _parse_family(texts: list[str]) -> tuple[Pattern, ...]:
     if not texts:
         raise ValueError("at least one --forbid pattern is required")
     return tuple(parse_pattern(t) for t in texts)
-
-
-def _named_h(family: tuple[Pattern, ...]) -> Pattern:
-    """The named companion H when the family is exactly {P5, H}, else error."""
-    if len(family) != 2:
-        raise ValueError("--seed auto needs exactly two --forbid patterns: p5 and a named H")
-    p5 = parse_pattern("p5").graph
-    p5_members = [p for p in family if are_isomorphic(p.graph, p5)]
-    others = [p for p in family if not are_isomorphic(p.graph, p5)]
-    if len(p5_members) != 1 or len(others) != 1:
-        raise ValueError("--seed auto needs the family {p5, H}")
-    h = others[0]
-    if default_max_order_for(h) is None:
-        names = ", ".join(NAMED_H_MAX_ORDER)
-        raise ValueError(f"--seed auto only covers H in {{{names}}}; got {h.name!r}")
-    return h
 
 
 def _seed_graphs(source: str) -> list[Graph]:
@@ -73,25 +55,28 @@ def _seed_graphs(source: str) -> list[Graph]:
 
 def cmd_enumerate(args) -> int:
     family = _parse_family(args.forbid)
-    pruning = not args.no_prune
 
     def progress(order, count):
         _p(f"  expanding {count} graphs of order {order}")
 
     if args.seed == "auto":
-        if args.k != 5:
-            raise ValueError("--seed auto applies to --k 5 only")
-        search = partial(enumerate_5vc, _named_h(family), args.max_order, pruning=pruning)
+        seeds = seeds_for(args.k, family)
     else:
-        if args.max_order is None:
-            raise ValueError("--max-order is required unless --seed auto names a known H")
-        search = partial(recursively_enumerate, SearchConfig(
-            k=args.k, family=family, max_order=args.max_order,
-            seeds=tuple(_seed_graphs(args.seed)), pruning=pruning))
+        seeds = _seed_graphs(args.seed)
+    max_order = args.max_order
+    if max_order is None and args.seed == "auto" and args.k == 5 and len(family) == 2:
+        # seeds_for found p5 in the family, and p5 has no default cap, so the
+        # cap is the other member's
+        max_order = default_max_order_for(family[0]) or default_max_order_for(family[1])
+    if max_order is None:
+        names = ", ".join(NAMED_H_MAX_ORDER)
+        raise ValueError("--max-order is required unless --k 5 --seed auto forbids p5 and "
+                         f"one H in {{{names}}}")
+    cfg = SearchConfig(args.k, family, max_order, tuple(seeds), pruning=not args.no_prune)
     created = not os.path.exists(args.out)
     open(args.out, "a").close()  # an unwritable --out fails here, not after the search
     try:
-        result = search(jobs=args.jobs, progress=progress)
+        result = recursively_enumerate(cfg, jobs=args.jobs, progress=progress)
         write_graph6_file(args.out, result.graphs)
     except BaseException:
         if created:  # an empty file would read as a valid, empty list
@@ -108,6 +93,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.k < 1:  # an empty file would otherwise pass
+        raise ValueError("k must be positive")
     family = _parse_family(args.forbid)
     graphs = read_graph6_file(args.file)
     failures = 0
@@ -245,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", action="append", default=[], metavar="DSL",
                    help="forbidden induced pattern (repeatable)")
     p.add_argument("--seed", required=True,
-                   help="'auto' (built-in exhaustive seed set for {p5,H}), a graph6 file, "
-                        "or a DSL string")
+                   help="'auto' (K_k and the family-free odd antiholes of chromatic number "
+                        "at most k; needs p5 in the family), a graph6 file, or a DSL string")
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--no-prune", action="store_true")

@@ -420,10 +420,8 @@ def recursively_enumerate(
     )
 
 
-# Defaults for the three named companions of P5.  Every 5-vertex-critical
-# P5-free graph is K5 or the complement of C9, or contains the complement of
-# C5 or of C7 as an induced subgraph, and the largest critical graphs in
-# these three classes are known to have the orders below.
+# Default caps for the three named companions H of P5: the largest
+# 5-vertex-critical {P5, H}-free graphs are known to have these orders.
 NAMED_H_MAX_ORDER = {
     "k1,3+p1": 13,
     "k1,4+p1": 17,
@@ -439,12 +437,27 @@ def default_max_order_for(h: PatternLike) -> int | None:
     return None
 
 
-def seed_graphs() -> list[Graph]:
-    return [complement(cycle(5)), complement(cycle(7))]
+def seeds_for(k: int, family: tuple[PatternLike, ...]) -> list[Graph]:
+    """K_k, then the odd antiholes co-C_(2t+1), t = 2 ... k - 1, that are family-free.
 
-
-def sporadic_graphs() -> list[Graph]:
-    return [complete(5), complement(cycle(9))]
+    Every k-vertex-critical family-free graph contains one of them when some
+    member of ``family`` is P5.  Let G be such a graph.  If G is perfect,
+    chi(G) = omega(G) = k, so G contains K_k, and G is K_k since no proper
+    induced subgraph of G has chromatic number k.  Otherwise, by the strong
+    perfect graph theorem, G contains an odd hole or an odd antihole.  Odd
+    holes longer than C5 contain P5, and C5 is co-C5, so G contains some
+    co-C_(2t+1) with t >= 2, of chromatic number t + 1 <= k.  When t = k - 1
+    it is no proper induced subgraph, as those have chromatic number below
+    k, so G is that antihole.  Seeds above ``MAX_ORDER`` are dropped.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    p5 = parse_pattern("p5").graph
+    if not any(are_isomorphic(_pattern_graph(p), p5) for p in family):
+        raise ValueError("the seed theorem needs p5 in the family")
+    seeds = [complete(k)] if k <= MAX_ORDER else []
+    seeds += [complement(cycle(2 * t + 1)) for t in range(2, min(k, (MAX_ORDER + 1) // 2))]
+    return [g for g in seeds if is_family_free(g, family)]
 
 
 def enumerate_5vc(
@@ -456,12 +469,9 @@ def enumerate_5vc(
 ) -> EnumerationResult:
     """All 5-vertex-critical {P5, h}-free graphs up to ``max_order``.
 
-    One search seeded with the two sporadic graphs and the complements of
-    C5 and C7, less those that contain ``h`` (no graph of the class can
-    contain them).  A sporadic seed is critical itself, so the search emits
-    it.  Exhaustiveness of the seed set is guaranteed whenever P5 is in the
-    family; the three named companions additionally have known maximum
-    orders (the defaults).
+    One search from ``seeds_for(5, (P5, h))``.  ``max_order`` defaults to
+    the known maximum critical order when ``h`` is one of the named
+    companions (:data:`NAMED_H_MAX_ORDER`), and is required otherwise.
     """
     family = (parse_pattern("p5"), h)
     if max_order is None:
@@ -469,9 +479,7 @@ def enumerate_5vc(
         if max_order is None:
             name = h.name if isinstance(h, Pattern) else encode_graph6(h)
             raise ValueError(f"no default max_order for pattern {name!r}; pass one")
-    seeds = [g for g in sporadic_graphs() + seed_graphs() if is_family_free(g, family)]
-    cfg = SearchConfig(k=5, family=family, max_order=max_order,
-                       seeds=tuple(seeds), pruning=pruning)
+    cfg = SearchConfig(5, family, max_order, tuple(seeds_for(5, family)), pruning)
     return recursively_enumerate(cfg, jobs=jobs, progress=progress)
 
 

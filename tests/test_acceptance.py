@@ -19,6 +19,7 @@ import pytest
 
 from critenum import (
     Graph,
+    SearchConfig,
     canonical_form,
     certify_4_colorability,
     chromatic_number,
@@ -33,6 +34,8 @@ from critenum import (
     is_k_vertex_critical,
     parse_pattern,
     read_graph6_file,
+    recursively_enumerate,
+    seeds_for,
 )
 from oracles import all_graphs, brute_isomorphic, naive_chromatic, permuted, random_graph
 
@@ -108,8 +111,22 @@ def test_criterion_1_brute_force_oracle_counts(classes_to_8):
         }
         searched = {canonical_form(g) for g in enumerate_5vc(PATTERNS[name], max_order=8).graphs}
         assert brute == searched
+    # the seed theorem below k = 5: the search from seeds_for(k, {P5}) to n=8
+    small = {}
+    for k in (3, 4):
+        brute = {
+            canonical_form(g)
+            for n in range(1, 9)
+            for g in classes_to_8[n]
+            if is_family_free(g, (P5,)) and is_k_vertex_critical(g, k).is_vertex_critical
+        }
+        cfg = SearchConfig(k, (P5,), 8, tuple(seeds_for(k, (P5,))))
+        assert {canonical_form(g) for g in recursively_enumerate(cfg).graphs} == brute
+        small[k] = len(brute)
+    assert small == {3: 2, 4: 9}
     ok = got == expected
-    _report(1, ok, f"brute-force counts n=5..8 {got}; pruned search emits identical classes")
+    _report(1, ok, f"brute-force counts n=5..8 {got}, k=3 and k=4 {{P5}}-free {small}; "
+                   "pruned search emits identical classes")
     assert got == expected
 
 

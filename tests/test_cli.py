@@ -11,6 +11,7 @@ import pytest
 import critenum
 from critenum import (
     Graph,
+    SearchConfig,
     chromatic_number,
     complete,
     cycle,
@@ -18,7 +19,10 @@ from critenum import (
     delete_vertex,
     disjoint_union,
     encode_graph6,
+    parse_pattern,
     path,
+    recursively_enumerate,
+    seeds_for,
     write_graph6_file,
 )
 from critenum.cli import main
@@ -138,6 +142,31 @@ def test_enumerate_auto_validation(tmp_path, capsys):
     assert all(name in err for name in NAMED_H_MAX_ORDER)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "0", "--forbid", "p5", "--max-order", "8"], "k must be positive"),
+    (["--k", "4", "--forbid", "p6", "--max-order", "8"], "the seed theorem needs p5 in the family"),
+    (["--k", "4", "--forbid", "p5"], "--max-order is required unless --k 5 --seed auto forbids "
+                                     "p5 and one H in {k1,3+p1, k1,4+p1, co(k3+2p1)}"),
+], ids=["k0", "no-p5", "no-cap"])
+def test_enumerate_auto_rejects_bad_input(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.g6"
+    code, _, err = run(["enumerate", *argv, "--seed", "auto", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_enumerate_auto_k4_equals_library_search(tmp_path, capsys):
+    out, lib = tmp_path / "cli.g6", tmp_path / "lib.g6"
+    code, _, err = run(["enumerate", "--k", "4", "--forbid", "p5", "--forbid", "k1,3+p1",
+                        "--seed", "auto", "--max-order", "9", "--out", str(out)], capsys)
+    assert code == 2 and "with 19 open nodes" in err
+    family = (parse_pattern("p5"), parse_pattern("k1,3+p1"))
+    cfg = SearchConfig(4, family, 9, tuple(seeds_for(4, family)))
+    write_graph6_file(lib, recursively_enumerate(cfg).graphs)
+    assert out.read_bytes() == lib.read_bytes()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_enumerate_rejects_jobs_below_one(tmp_path, capsys, jobs):
     code, _, err = run(
@@ -181,6 +210,15 @@ def test_verify_accepts_enumerate_output(tmp_path, capsys):
     )
     assert code == 0
     assert "n=5: 1" in stdout and "n=8: 6" in stdout
+
+
+@pytest.mark.parametrize("graphs", [[], [complete(5)]], ids=["empty", "k5"])
+def test_verify_rejects_k_below_one(tmp_path, capsys, graphs):
+    # an empty file is not read, so it cannot pass with 0 ok
+    src = tmp_path / "in.g6"
+    write_graph6_file(src, graphs)
+    code, out, err = run(["verify", "--k", "0", "--forbid", "p5", str(src)], capsys)
+    assert (code, out, err) == (1, "", "error: k must be positive\n")
 
 
 def test_verify_flags_failures(tmp_path, capsys):

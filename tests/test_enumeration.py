@@ -31,8 +31,7 @@ from critenum import (
     parse_pattern,
     path,
     recursively_enumerate,
-    seed_graphs,
-    sporadic_graphs,
+    seeds_for,
     write_graph6_file,
 )
 import critenum.enumeration
@@ -133,10 +132,56 @@ def test_sporadics_present():
     assert canonical_form(complement(cycle(9))) in forms
 
 
-def test_seed_and_sporadic_sets():
-    assert [g.n for g in seed_graphs()] == [5, 7]
-    assert [g.n for g in sporadic_graphs()] == [5, 9]
-    assert are_isomorphic(seed_graphs()[0], cycle(5))
+def test_seeds_for():
+    # K_k and co-C_(2k-1) are k-vertex-critical; the other antiholes have chi < k
+    for k in range(1, 7):
+        seeds = seeds_for(k, (P5,))
+        assert [g.n for g in seeds] == [k] + list(range(5, 2 * k, 2))
+        assert are_isomorphic(seeds[0], complete(k))
+        for i, g in enumerate(seeds):
+            if i:
+                assert are_isomorphic(g, complement(cycle(g.n)))
+            if i == 0 or g.n == 2 * k - 1:
+                assert is_k_vertex_critical(g, k).is_vertex_critical
+            else:
+                assert is_k_colorable(g, k - 1) is not None
+    assert [g.n for g in seeds_for(5, (P5,))] == [5, 5, 7, 9]
+    c5 = parse_pattern("c5")
+    assert [canonical_form(g) for g in seeds_for(4, (P5, c5))] == [
+        canonical_form(complete(4)), canonical_form(complement(cycle(7)))]  # co-C5 is C5
+    with pytest.raises(ValueError, match="positive"):
+        seeds_for(0, (P5,))
+    with pytest.raises(ValueError, match="p5"):
+        seeds_for(5, (c5,))
+    assert seeds_for(5, (path(5), H13)) == seeds_for(5, (P5, H13))  # a plain-Graph P5
+
+
+def _seeded(k, family, max_order):
+    return recursively_enumerate(SearchConfig(k, family, max_order, tuple(seeds_for(k, family))))
+
+
+def test_seeded_k3_emits_k3_and_c5():
+    # the 3-vertex-critical graphs are the odd cycles, and C7 on contains P5
+    res = _seeded(3, (P5,), 13)
+    assert [canonical_form(g) for g in res.graphs] == [canonical_form(complete(3)),
+                                                       canonical_form(cycle(5))]
+    assert res.complete
+
+
+def test_seeded_k4_emits_the_12_known_p5_free_graphs():
+    res = _seeded(4, (P5,), 13)
+    assert res.per_order_counts == {4: 1, 6: 1, 7: 7, 10: 2, 13: 1}
+
+
+@pytest.mark.parametrize("h, count", [(H13, 11), (H14, 12), (HCO, 12)],
+                         ids=["k1,3+p1", "k1,4+p1", "co(k3+2p1)"])
+def test_seeded_k4_equals_search_from_k1(h, count):
+    # the seed theorem checked against a search that does not use it
+    seeded = _seeded(4, (P5, h), 13)
+    from_k1 = recursively_enumerate(SearchConfig(4, (P5, h), 13, (complete(1),)))
+    forms = {canonical_form(g) for g in seeded.graphs}
+    assert forms == {canonical_form(g) for g in from_k1.graphs}
+    assert len(forms) == count
 
 
 def test_default_max_orders():
