@@ -29,7 +29,6 @@ from .critical import (
 from .enumeration import (
     EnumerationResult,
     SearchConfig,
-    default_max_order_for,
     enumerate_5vc,
     recursively_enumerate,
     seeds_for,

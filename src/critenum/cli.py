@@ -5,7 +5,10 @@ stderr.  Exit codes: ``enumerate`` returns 0 when the search closed below
 the order cap and 2 when branches were truncated; ``certify`` returns 0
 for a coloring, 1 for a witness, 3 for a precondition violation and 4 for
 other errors; the remaining commands return 0 on success and 1 on any
-failure or error.  Ctrl-C ends any command with exit code 130.
+failure or error.  A usage error (a missing, malformed or unknown argument,
+or no command) is an error like any other: one ``error:`` line on stderr
+and exit code 4 under ``certify``, 1 otherwise; ``--help`` exits 0.
+Ctrl-C ends any command with exit code 130.
 """
 
 from __future__ import annotations
@@ -18,26 +21,14 @@ from collections import Counter
 from .certify import IncompleteListError, NotInClassError, certify_4_colorability
 from .coloring import chromatic_number
 from .critical import is_k_critical_in_class, is_k_vertex_critical
-from .enumeration import (
-    NAMED_H_MAX_ORDER,
-    SearchConfig,
-    default_max_order_for,
-    recursively_enumerate,
-    seeds_for,
-)
+from .enumeration import SearchConfig, recursively_enumerate, seeds_for
 from .graph6 import Graph6Error, ascii_lines, encode_graph6, read_graph6_file, write_graph6_file
 from .graphs import MAX_ORDER, Graph, bits, induced_subgraph
-from .patterns import Pattern, is_family_free, parse_pattern
+from .patterns import is_family_free, parse_pattern
 
 
 def _p(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _parse_family(texts: list[str]) -> tuple[Pattern, ...]:
-    if not texts:
-        raise ValueError("at least one --forbid pattern is required")
-    return tuple(parse_pattern(t) for t in texts)
 
 
 def _seed_graphs(source: str) -> list[Graph]:
@@ -54,7 +45,7 @@ def _seed_graphs(source: str) -> list[Graph]:
 
 
 def cmd_enumerate(args) -> int:
-    family = _parse_family(args.forbid)
+    family = tuple(map(parse_pattern, args.forbid))
 
     def progress(order, count):
         _p(f"  expanding {count} graphs of order {order}")
@@ -63,16 +54,7 @@ def cmd_enumerate(args) -> int:
         seeds = seeds_for(args.k, family)
     else:
         seeds = _seed_graphs(args.seed)
-    max_order = args.max_order
-    if max_order is None and args.seed == "auto" and args.k == 5 and len(family) == 2:
-        # seeds_for found p5 in the family, and p5 has no default cap, so the
-        # cap is the other member's
-        max_order = default_max_order_for(family[0]) or default_max_order_for(family[1])
-    if max_order is None:
-        names = ", ".join(NAMED_H_MAX_ORDER)
-        raise ValueError("--max-order is required unless --k 5 --seed auto forbids p5 and "
-                         f"one H in {{{names}}}")
-    cfg = SearchConfig(args.k, family, max_order, tuple(seeds), pruning=not args.no_prune)
+    cfg = SearchConfig(args.k, family, args.max_order, tuple(seeds), pruning=not args.no_prune)
     created = not os.path.exists(args.out)
     open(args.out, "a").close()  # an unwritable --out fails here, not after the search
     try:
@@ -95,7 +77,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     if args.k < 1:  # an empty file would otherwise pass
         raise ValueError("k must be positive")
-    family = _parse_family(args.forbid)
+    family = tuple(map(parse_pattern, args.forbid))
     graphs = read_graph6_file(args.file)
     failures = 0
     histogram: Counter[int] = Counter()
@@ -123,7 +105,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    family = _parse_family(args.forbid)
+    family = tuple(map(parse_pattern, args.forbid))
     critical_list = read_graph6_file(args.list)
     inputs = read_graph6_file(args.input)
     if not inputs:
@@ -213,8 +195,17 @@ def cmd_convert(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError for :func:`main` to report, in place of
+    argparse's usage block and exit code 2, which ``enumerate`` gives to a
+    truncated search.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValueError(f"{message} (see '{self.prog} --help')")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critenum",
         description="Enumerate, verify and certify k-vertex-critical family-free graphs.",
     )
@@ -229,12 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "its children, and a dead child (chromatic number k, not critical) "
                     "is never built, so it is not counted.")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--forbid", action="append", default=[], metavar="DSL",
+    p.add_argument("--forbid", action="append", required=True, metavar="DSL",
                    help="forbidden induced pattern (repeatable)")
     p.add_argument("--seed", required=True,
                    help="'auto' (K_k and the family-free odd antiholes of chromatic number "
                         "at most k; needs p5 in the family), a graph6 file, or a DSL string")
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=int, required=True,
+                   help="largest graph order searched; a graph of this order with "
+                        "chromatic number below k is left unextended, and the run then "
+                        "exits 2 (truncated)")
     p.add_argument("--out", required=True)
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--jobs", type=int, default=1,
@@ -244,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check criticality of every graph in a list")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--forbid", action="append", default=[], metavar="DSL")
+    p.add_argument("--forbid", action="append", required=True, metavar="DSL")
     p.add_argument("--edge-critical", action="store_true",
                    help="additionally require in-class k-criticality")
     p.add_argument("file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="4-coloring or 5-vertex-critical witness")
-    p.add_argument("--forbid", action="append", default=[], metavar="DSL")
+    p.add_argument("--forbid", action="append", required=True, metavar="DSL")
     p.add_argument("--list", required=True, help="graph6 file with the critical list")
     p.add_argument("--input", required=True, help="graph6 file; first graph is certified")
     p.set_defaults(func=cmd_certify)
@@ -270,9 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else None  # the parser has no options before the command
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotInClassError as exc:
         _p(f"error: {exc}")
@@ -282,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except (ValueError, Graph6Error, OSError) as exc:
         _p(f"error: {exc}")
-        return 4 if args.command == "certify" else 1
+        return 4 if command == "certify" else 1
     except KeyboardInterrupt:
         _p("error: interrupted")
         return 130

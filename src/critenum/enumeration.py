@@ -137,7 +137,6 @@ from .graphs import (
     cycle,
 )
 from .patterns import (
-    Pattern,
     PatternLike,
     _pattern_graph,
     _vertex_bitmaps,
@@ -420,23 +419,6 @@ def recursively_enumerate(
     )
 
 
-# Default caps for the three named companions H of P5: the largest
-# 5-vertex-critical {P5, H}-free graphs are known to have these orders.
-NAMED_H_MAX_ORDER = {
-    "k1,3+p1": 13,
-    "k1,4+p1": 17,
-    "co(k3+2p1)": 23,
-}
-
-
-def default_max_order_for(h: PatternLike) -> int | None:
-    """Known maximum critical order when ``h`` is one of the named companions."""
-    for name, cap in NAMED_H_MAX_ORDER.items():
-        if are_isomorphic(_pattern_graph(h), parse_pattern(name).graph):
-            return cap
-    return None
-
-
 def seeds_for(k: int, family: tuple[PatternLike, ...]) -> list[Graph]:
     """K_k, then the odd antiholes co-C_(2t+1), t = 2 ... k - 1, that are family-free.
 
@@ -462,23 +444,18 @@ def seeds_for(k: int, family: tuple[PatternLike, ...]) -> list[Graph]:
 
 def enumerate_5vc(
     h: PatternLike,
-    max_order: int | None = None,
+    max_order: int,
     pruning: bool = True,
     jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> EnumerationResult:
     """All 5-vertex-critical {P5, h}-free graphs up to ``max_order``.
 
-    One search from ``seeds_for(5, (P5, h))``.  ``max_order`` defaults to
-    the known maximum critical order when ``h`` is one of the named
-    companions (:data:`NAMED_H_MAX_ORDER`), and is required otherwise.
+    One search from ``seeds_for(5, (P5, h))``.  ``max_order`` is required:
+    the known maximum critical orders of the named companions are results
+    to check, not caps to assume.
     """
     family = (parse_pattern("p5"), h)
-    if max_order is None:
-        max_order = default_max_order_for(h)
-        if max_order is None:
-            name = h.name if isinstance(h, Pattern) else encode_graph6(h)
-            raise ValueError(f"no default max_order for pattern {name!r}; pass one")
     cfg = SearchConfig(5, family, max_order, tuple(seeds_for(5, family)), pruning)
     return recursively_enumerate(cfg, jobs=jobs, progress=progress)
 

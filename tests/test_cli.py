@@ -26,7 +26,6 @@ from critenum import (
     write_graph6_file,
 )
 from critenum.cli import main
-from critenum.enumeration import NAMED_H_MAX_ORDER
 
 
 def run(argv, capsys):
@@ -125,29 +124,39 @@ def test_enumerate_missing_seed_file(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_enumerate_auto_validation(tmp_path, capsys):
+@pytest.mark.parametrize("argv, code", [
+    (["enumerate", "--forbid", "p5", "--seed", "auto", "--max-order", "8"], 1),
+    (["enumerate", "--k", "five", "--forbid", "p5", "--seed", "auto", "--max-order", "8"], 1),
+    # the paper's maximum order for k1,3+p1 is a result to check, not a default cap
+    (["enumerate", "--k", "5", "--forbid", "p5", "--forbid", "k1,3+p1", "--seed", "auto"], 1),
+    (["certify", "--forbid", "p5", "--list", "o.g6"], 4),
+    (["certify", "--forbid", "p5", "--list", "o.g6", "--input", "i.g6", "--extra"], 4),
+    (["enumerat", "--k", "5"], 1),
+    ([], 1),
+], ids=["no-k", "bad-k", "no-max-order", "certify-no-input", "certify-unknown-flag",
+        "unknown-command", "no-command"])
+def test_usage_errors(tmp_path, capsys, argv, code):
+    # one error line and the command's own code: 2 is a truncated search to enumerate
     out = tmp_path / "x.g6"
-    code, _, err = run(
-        ["enumerate", "--k", "4", "--forbid", "p5", "--forbid", "k1,3+p1",
-         "--seed", "auto", "--out", str(out)],
-        capsys,
-    )
-    assert code == 1 and "auto" in err
-    code, _, err = run(
-        ["enumerate", "--k", "5", "--forbid", "p5", "--forbid", "c4",
-         "--seed", "auto", "--out", str(out)],
-        capsys,
-    )
-    assert code == 1 and "auto" in err
-    assert all(name in err for name in NAMED_H_MAX_ORDER)
+    if argv[:1] == ["enumerate"]:
+        argv = [*argv, "--out", str(out)]
+    got, _, err = run(argv, capsys)
+    assert got == code
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--help"])
+    assert exc.value.code == 0
+    assert "--max-order" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, message", [
     (["--k", "0", "--forbid", "p5", "--max-order", "8"], "k must be positive"),
     (["--k", "4", "--forbid", "p6", "--max-order", "8"], "the seed theorem needs p5 in the family"),
-    (["--k", "4", "--forbid", "p5"], "--max-order is required unless --k 5 --seed auto forbids "
-                                     "p5 and one H in {k1,3+p1, k1,4+p1, co(k3+2p1)}"),
-], ids=["k0", "no-p5", "no-cap"])
+], ids=["k0", "no-p5"])
 def test_enumerate_auto_rejects_bad_input(tmp_path, capsys, argv, message):
     out = tmp_path / "x.g6"
     code, _, err = run(["enumerate", *argv, "--seed", "auto", "--out", str(out)], capsys)
@@ -349,14 +358,16 @@ def test_bad_pattern_and_missing_file(tmp_path, capsys):
     assert code == 1
     out = tmp_path / "x.g6"
     code, _, err = run(
-        ["enumerate", "--k", "5", "--forbid", "q9", "--seed", "auto", "--out", str(out)],
+        ["enumerate", "--k", "5", "--forbid", "q9", "--seed", "auto", "--max-order", "8",
+         "--out", str(out)],
         capsys,
     )
     assert code == 1 and "position" in err
     deep = "co(" * 400 + "p1" + ")" * 400
     for bad in [deep, "p" + "9" * 5000]:
         code, _, err = run(
-            ["enumerate", "--k", "5", "--forbid", bad, "--seed", "auto", "--out", str(out)],
+            ["enumerate", "--k", "5", "--forbid", bad, "--seed", "auto", "--max-order", "8",
+             "--out", str(out)],
             capsys,
         )
         assert code == 1

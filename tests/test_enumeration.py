@@ -18,9 +18,7 @@ from critenum import (
     complete,
     complete_bipartite,
     cycle,
-    default_max_order_for,
     disjoint_union,
-    encode_graph6,
     enumerate_5vc,
     find_comparable_pair,
     find_xy_obstruction,
@@ -184,24 +182,12 @@ def test_seeded_k4_equals_search_from_k1(h, count):
     assert len(forms) == count
 
 
-def test_default_max_orders():
-    assert default_max_order_for(H13) == 13
-    assert default_max_order_for(H14) == 17
-    assert default_max_order_for(HCO) == 23
-    assert default_max_order_for(parse_pattern("co(2p1+k3)")) == 23  # isomorphic spelling
-    assert default_max_order_for(P5) is None
-    with pytest.raises(ValueError):
-        enumerate_5vc(parse_pattern("c4"))
-
-
 def test_plain_graph_companion_equals_pattern():
-    # enumerate_5vc and default_max_order_for take a Graph, as the family does
+    # enumerate_5vc takes a Graph, as the family does
     claw_p1 = disjoint_union(complete_bipartite(1, 3), complete(1))
-    assert default_max_order_for(claw_p1) == 13
     assert enumerate_5vc(claw_p1, max_order=8) == enumerate_5vc(H13, max_order=8)
-    with pytest.raises(ValueError) as exc:
-        enumerate_5vc(cycle(4))
-    assert repr(encode_graph6(cycle(4))) in str(exc.value)  # a Graph has no name
+    with pytest.raises(TypeError):  # the caller gives the cap; the paper's orders are results
+        enumerate_5vc(H13)
 
 
 def test_pruning_differential_small_cap():
