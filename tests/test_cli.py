@@ -127,13 +127,11 @@ def test_enumerate_missing_seed_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code", [
     (["enumerate", "--forbid", "p5", "--seed", "auto", "--max-order", "8"], 1),
     (["enumerate", "--k", "five", "--forbid", "p5", "--seed", "auto", "--max-order", "8"], 1),
-    # the paper's maximum order for k1,3+p1 is a result to check, not a default cap
-    (["enumerate", "--k", "5", "--forbid", "p5", "--forbid", "k1,3+p1", "--seed", "auto"], 1),
     (["certify", "--forbid", "p5", "--list", "o.g6"], 4),
     (["certify", "--forbid", "p5", "--list", "o.g6", "--input", "i.g6", "--extra"], 4),
     (["enumerat", "--k", "5"], 1),
     ([], 1),
-], ids=["no-k", "bad-k", "no-max-order", "certify-no-input", "certify-unknown-flag",
+], ids=["no-k", "bad-k", "certify-no-input", "certify-unknown-flag",
         "unknown-command", "no-command"])
 def test_usage_errors(tmp_path, capsys, argv, code):
     # one error line and the command's own code: 2 is a truncated search to enumerate
@@ -156,13 +154,26 @@ def test_help_exits_0(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--k", "0", "--forbid", "p5", "--max-order", "8"], "k must be positive"),
     (["--k", "4", "--forbid", "p6", "--max-order", "8"], "the seed theorem needs p5 in the family"),
-], ids=["k0", "no-p5"])
+    (["--k", "4", "--forbid", "p5"], "the following arguments are required: --max-order "
+                                     "(see 'critenum enumerate --help')"),
+], ids=["k0", "no-p5", "no-cap"])
 def test_enumerate_auto_rejects_bad_input(tmp_path, capsys, argv, message):
     out = tmp_path / "x.g6"
     code, _, err = run(["enumerate", *argv, "--seed", "auto", "--out", str(out)], capsys)
     assert code == 1
     assert err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+def test_enumerate_auto_validation(tmp_path, capsys):
+    # the paper's maximum orders for its named H are results to check, not default caps
+    out = tmp_path / "x.g6"
+    for h in ("k1,3+p1", "k1,4+p1", "co(k3+2p1)"):
+        code, _, err = run(["enumerate", "--k", "5", "--forbid", "p5", "--forbid", h,
+                            "--seed", "auto", "--out", str(out)], capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "--max-order" in err, err
+        assert not out.exists()
 
 
 def test_enumerate_auto_k4_equals_library_search(tmp_path, capsys):
