@@ -29,7 +29,7 @@ print("complement(C5):", complement(c5))
 # The pattern DSL composes constructors: '+' is disjoint union, 'co(...)'
 # complement, a leading integer repeats a term.
 for text in ["k1,3+p1", "k1,4+p1", "co(k3+2p1)", "2p1+c5"]:
-    g = parse_pattern(text).graph
+    g = parse_pattern(text)
     print(f"{text!r} -> {g.n} vertices, {g.edge_count()} edges, graph6 {encode_graph6(g)}")
 
 # Induced containment: edges AND non-edges must match.  C6 contains an

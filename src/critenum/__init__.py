@@ -60,7 +60,6 @@ from .graphs import (
 )
 from .patterns import (
     Embedding,
-    Pattern,
     PatternSyntaxError,
     embedding_is_induced,
     find_induced,

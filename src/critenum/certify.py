@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .canon import canonical_form  # not called here; the benchmark's tracer patches this name
 from .coloring import Coloring, is_k_colorable
 from .graphs import Graph, VertexSet, mask_of
-from .patterns import Embedding, PatternLike, find_induced, is_family_free
+from .patterns import Embedding, find_induced, is_family_free
 
 
 class NotInClassError(ValueError):
@@ -50,7 +50,7 @@ class Certificate:
 def certify_4_colorability(
     g: Graph,
     critical_list: Sequence[Graph],
-    family: Iterable[PatternLike],
+    family: Iterable[Graph],
 ) -> Certificate:
     """A proper 4-coloring of ``g`` or a 5-vertex-critical induced witness.
 

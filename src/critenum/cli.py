@@ -34,7 +34,7 @@ def _p(msg: str) -> None:
 def _seed_graphs(source: str) -> list[Graph]:
     if not os.path.exists(source):
         try:
-            return [parse_pattern(source).graph]
+            return [parse_pattern(source)]
         except ValueError as exc:
             raise ValueError(f"--seed {source} is neither an existing file nor a pattern: {exc}"
                              ) from None

@@ -17,7 +17,7 @@ from typing import Iterable
 from .canon import canonical_key
 from .coloring import chromatic_number, is_k_colorable
 from .graphs import Graph, VertexSet, bits, delete_edge, delete_vertex
-from .patterns import PatternLike, is_family_free
+from .patterns import is_family_free
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def find_xy_obstruction(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     return None
 
 
-def is_k_critical_in_class(g: Graph, k: int, family: Iterable[PatternLike]) -> bool:
+def is_k_critical_in_class(g: Graph, k: int, family: Iterable[Graph]) -> bool:
     """In-class criticality: no family-free proper subgraph keeps chi >= k.
 
     g must first be k-vertex-critical.  Then only spanning subgraphs x of g

@@ -135,15 +135,13 @@ from .graphs import (
     complement,
     complete,
     cycle,
+    path,
 )
 from .patterns import (
-    PatternLike,
-    _pattern_graph,
     _vertex_bitmaps,
     forbidden_through,
     free_after_extension,  # not called here; the benchmark's tracer patches this name
     is_family_free,
-    parse_pattern,
     set_bits,
 )
 
@@ -151,7 +149,7 @@ from .patterns import (
 @dataclass(frozen=True)
 class SearchConfig:
     k: int
-    family: tuple[PatternLike, ...]
+    family: tuple[Graph, ...]
     max_order: int
     seeds: tuple[Graph, ...] = ()
     pruning: bool = True
@@ -218,7 +216,7 @@ def _process_node(node: _Node, cfg: SearchConfig):
     return (_EXPAND, children)
 
 
-def _freeness_bitmap(g: Graph, family: tuple[PatternLike, ...], inherited: int | None) -> int:
+def _freeness_bitmap(g: Graph, family: tuple[Graph, ...], inherited: int | None) -> int:
     """The neighborhoods of a new vertex that ``family`` forbids, as a bitmap.
 
     ``inherited`` is the bitmap of the parent, g less its last vertex, or
@@ -226,7 +224,7 @@ def _freeness_bitmap(g: Graph, family: tuple[PatternLike, ...], inherited: int |
     docstring).
     """
     if inherited is None:
-        first, free = 0, int(any(_pattern_graph(p).n == 1 for p in family))
+        first, free = 0, int(any(p.n == 1 for p in family))
     else:
         first, free = g.n - 1, inherited
     for v in range(first, g.n):
@@ -419,7 +417,7 @@ def recursively_enumerate(
     )
 
 
-def seeds_for(k: int, family: tuple[PatternLike, ...]) -> list[Graph]:
+def seeds_for(k: int, family: tuple[Graph, ...]) -> list[Graph]:
     """K_k, then the odd antiholes co-C_(2t+1), t = 2 ... k - 1, that are family-free.
 
     Every k-vertex-critical family-free graph contains one of them when some
@@ -434,8 +432,7 @@ def seeds_for(k: int, family: tuple[PatternLike, ...]) -> list[Graph]:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    p5 = parse_pattern("p5").graph
-    if not any(are_isomorphic(_pattern_graph(p), p5) for p in family):
+    if not any(are_isomorphic(p, path(5)) for p in family):
         raise ValueError("the seed theorem needs p5 in the family")
     seeds = [complete(k)] if k <= MAX_ORDER else []
     seeds += [complement(cycle(2 * t + 1)) for t in range(2, min(k, (MAX_ORDER + 1) // 2))]
@@ -443,7 +440,7 @@ def seeds_for(k: int, family: tuple[PatternLike, ...]) -> list[Graph]:
 
 
 def enumerate_5vc(
-    h: PatternLike,
+    h: Graph,
     max_order: int,
     pruning: bool = True,
     jobs: int = 1,
@@ -455,7 +452,7 @@ def enumerate_5vc(
     the known maximum critical orders of the named companions are results
     to check, not caps to assume.
     """
-    family = (parse_pattern("p5"), h)
+    family = (path(5), h)
     cfg = SearchConfig(5, family, max_order, tuple(seeds_for(5, family)), pruning)
     return recursively_enumerate(cfg, jobs=jobs, progress=progress)
 

@@ -1,6 +1,8 @@
 """Forbidden patterns: a small construction DSL and induced-subgraph search.
 
-Pattern grammar (case-insensitive, spaces ignored)::
+A pattern is a plain :class:`Graph`, from the constructors of
+:mod:`critenum.graphs` or from :func:`parse_pattern`, which reads this
+grammar (case-insensitive, spaces ignored)::
 
     expr := term ("+" term)*          disjoint union
     term := [multiplier] atom         "2p1" = two isolated vertices
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable
 
 from .graphs import (
     MAX_ORDER,
@@ -71,30 +73,6 @@ class PatternSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class Pattern:
-    """A named forbidden graph built from the DSL."""
-
-    def __init__(self, name: str, graph: Graph):
-        self.name = name
-        self.graph = graph
-
-    def __repr__(self):
-        return f"Pattern({self.name!r}, n={self.graph.n})"
-
-    def __eq__(self, other):
-        return isinstance(other, Pattern) and self.name == other.name and self.graph == other.graph
-
-    def __hash__(self):
-        return hash((self.name, self.graph))
-
-
-PatternLike = Union[Pattern, Graph]
-
-
-def _pattern_graph(p: PatternLike) -> Graph:
-    return p.graph if isinstance(p, Pattern) else p
 
 
 class _Parser:
@@ -177,8 +155,8 @@ class _Parser:
             self.error(str(exc))
 
 
-def parse_pattern(text: str) -> Pattern:
-    """Parse a DSL string into a named Pattern."""
+def parse_pattern(text: str) -> Graph:
+    """Parse a DSL string into the graph it builds, ignoring case and whitespace."""
     normalized = "".join(text.split()).lower()
     parser = _Parser(normalized)
     try:
@@ -189,7 +167,7 @@ def parse_pattern(text: str) -> Pattern:
         parser.error("unexpected trailing input")
     if g.n < 1:
         parser.error("pattern must have at least one vertex")
-    return Pattern(normalized, g)
+    return g
 
 
 @dataclass(frozen=True)
@@ -199,17 +177,16 @@ class Embedding:
     map: tuple[int, ...]
 
 
-def embedding_is_induced(host: Graph, pattern: PatternLike, emb: Embedding) -> bool:
+def embedding_is_induced(host: Graph, pattern: Graph, emb: Embedding) -> bool:
     """Independent re-check that ``emb`` is a valid induced embedding."""
-    pg = _pattern_graph(pattern)
     m = emb.map
-    if len(m) != pg.n or len(set(m)) != pg.n:
+    if len(m) != pattern.n or len(set(m)) != pattern.n:
         return False
     if any(not 0 <= h < host.n for h in m):
         return False
-    for a in range(pg.n):
-        for b in range(a + 1, pg.n):
-            if pg.has_edge(a, b) != host.has_edge(m[a], m[b]):
+    for a in range(pattern.n):
+        for b in range(a + 1, pattern.n):
+            if pattern.has_edge(a, b) != host.has_edge(m[a], m[b]):
                 return False
     return True
 
@@ -354,16 +331,16 @@ def _search(host: Graph, pg: Graph, pinned: tuple[int, ...], images: tuple[int, 
     return Embedding(tuple(emb))
 
 
-def find_induced(host: Graph, pattern: PatternLike) -> Embedding | None:
+def find_induced(host: Graph, pattern: Graph) -> Embedding | None:
     """Some induced embedding of ``pattern`` into ``host``, or None.
 
     Whether one exists is decided exactly; which copy comes back is the
     first the symmetry-broken search meets, and is not specified.
     """
-    return _search(host, _pattern_graph(pattern), (), ())
+    return _search(host, pattern, (), ())
 
 
-def is_family_free(host: Graph, family: Iterable[PatternLike]) -> bool:
+def is_family_free(host: Graph, family: Iterable[Graph]) -> bool:
     """True iff no family member occurs in ``host`` as an induced subgraph."""
     return all(find_induced(host, p) is None for p in family)
 
@@ -384,14 +361,13 @@ def _orbit_leasts(pg: Graph, fixed: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(leasts)
 
 
-def free_after_extension(host: Graph, family: Iterable[PatternLike], new_vertex: int) -> bool:
+def free_after_extension(host: Graph, family: Iterable[Graph], new_vertex: int) -> bool:
     """Freeness of ``host`` given it was family-free before ``new_vertex`` was added.
 
     Only embeddings through the new vertex can exist, so each pattern is
     searched pinned at one representative of every automorphism orbit.
     """
-    for p in family:
-        pg = _pattern_graph(p)
+    for pg in family:
         for role in _orbit_leasts(pg, ()):
             if _search(host, pg, (role,), (new_vertex,)) is not None:
                 return False
@@ -490,7 +466,7 @@ def _forbidden_by_plan(host: Graph, v: int, plan, sides) -> int:
     return forbidden
 
 
-def forbidden_through(g: Graph, family: Iterable[PatternLike], v: int) -> int:
+def forbidden_through(g: Graph, family: Iterable[Graph], v: int) -> int:
     """The neighborhoods s < 2^(v+1) that a trace (C, A) of ``g`` with v in C
     and C within 0..v forbids, as a bitmap.
 
@@ -533,7 +509,7 @@ def forbidden_through(g: Graph, family: Iterable[PatternLike], v: int) -> int:
     sides = _vertex_bitmaps(v + 1)
     forbidden = 0
     for p in family:
-        for plan in _anchored_plans(_pattern_graph(p)):
+        for plan in _anchored_plans(p):
             forbidden |= _forbidden_by_plan(g, v, plan, sides)
     return forbidden
 

@@ -241,8 +241,7 @@ def brute_forbidden_traces(host: Graph, family) -> dict[int, set[int]]:
     induced embedding of P - r into ``host``: C its image, A the image of
     N_P(r).  No orbit representatives and no symmetry breaking."""
     out: dict[int, set[int]] = {}
-    for p in family:
-        pg = p.graph
+    for pg in family:
         for r in range(pg.n):
             rest = delete_vertex(pg, r)
             nbrs = [u if u < r else u + 1 for u in range(rest.n)]  # P - r vertex -> P vertex

@@ -151,7 +151,8 @@ def test_seeds_for():
         seeds_for(0, (P5,))
     with pytest.raises(ValueError, match="p5"):
         seeds_for(5, (c5,))
-    assert seeds_for(5, (path(5), H13)) == seeds_for(5, (P5, H13))  # a plain-Graph P5
+    p5_relabelled = permuted(path(5), [2, 0, 4, 1, 3])  # P5 found up to isomorphism
+    assert seeds_for(5, (p5_relabelled, H13)) == seeds_for(5, (P5, H13))
 
 
 def _seeded(k, family, max_order):
@@ -183,8 +184,10 @@ def test_seeded_k4_equals_search_from_k1(h, count):
 
 
 def test_plain_graph_companion_equals_pattern():
-    # enumerate_5vc takes a Graph, as the family does
-    claw_p1 = disjoint_union(complete_bipartite(1, 3), complete(1))
+    # any labelling of the companion gives the same search: K1,3+P1 with the
+    # isolated vertex first and the center last is not the parsed graph
+    claw_p1 = disjoint_union(complete(1), complete_bipartite(3, 1))
+    assert claw_p1 != H13
     assert enumerate_5vc(claw_p1, max_order=8) == enumerate_5vc(H13, max_order=8)
     with pytest.raises(TypeError):  # the caller gives the cap; the paper's orders are results
         enumerate_5vc(H13)
@@ -428,10 +431,13 @@ def test_seed_freeness_with_p1_forbids_every_mask():
 
 
 def test_family_of_plain_graphs_equals_patterns():
-    # a family member may be a Graph, as everywhere in patterns
+    # any labelling of a family member gives the same search: a relabelled P5
+    # is not the parsed one
+    p5_relabelled = permuted(path(5), [2, 0, 4, 1, 3])
+    assert p5_relabelled != P5
     results = [recursively_enumerate(SearchConfig(k=4, family=(h,), max_order=7,
                                                   seeds=(cycle(5),)))
-               for h in (path(5), P5)]
+               for h in (p5_relabelled, P5)]
     assert results[0] == results[1]
     assert results[0].per_order_counts == {6: 1, 7: 6} and results[0].nodes_visited == 23
 
