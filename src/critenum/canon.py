@@ -35,6 +35,10 @@ v's; the argument does not depend on the order the children are taken in:
 - **Stored automorphisms.**  Two leaves with equal codes give the
   automorphism that maps one vertex order onto the other; v is skipped if a
   stored one fixes the path and maps v onto a lower vertex of the cell.
+  The caller may also pass automorphisms it already knows, which start the
+  store (McKay and Piperno, "Practical graph isomorphism, II", 2014: any
+  known automorphism prunes the tree).  The enumeration passes a child the
+  automorphisms of its parent that fix the child's new neighborhood.
 - **Return on automorphism.**  Let a leaf at path p have the code of an
   earlier leaf at path q, and let l be the first level where they differ.
   The automorphism s taking the leaf of p to the leaf of q maps p onto q
@@ -43,11 +47,11 @@ v's; the argument does not depend on the order the children are taken in:
   ``q[l]`` of the same node, which was searched first since the search is
   depth first.  The rest of the subtree below ``p[:l + 1]`` is skipped.
 
-The search also returns automorphisms: the stored leaf automorphisms, and
-the swap of each vertex that has a twin with its least twin.  A vertex has
-false twins (equal open neighborhoods) or true twins (equal closed ones),
-never both, so a twin class of m vertices gives m - 1 swaps, which generate
-all its permutations.  The enumeration uses the automorphisms to skip
+The search also returns automorphisms: the stored ones, the caller's
+first, and the swap of each vertex that has a twin with its least twin.  A
+vertex has false twins (equal open neighborhoods) or true twins (equal
+closed ones), never both, so a twin class of m vertices gives m - 1 swaps,
+which generate all its permutations.  The enumeration uses the automorphisms to skip
 children that are automorphic images of a sibling.
 
 :func:`canonical_form` is the graph6 encoding of the canonically relabeled
@@ -59,6 +63,8 @@ graphs of one order.  Only emitted graphs are encoded, from their key by
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .graph6 import encode_graph6
 from .graphs import Graph, _graph
@@ -134,18 +140,22 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return form_of_key(g.n, canonical_key(g)[0])
 
 
-def canonical_key(g: Graph) -> tuple[int, list[bytes]]:
+def canonical_key(g: Graph, automorphisms: Iterable[bytes] = ()) -> tuple[int, list[bytes]]:
     """The canonical rows packed into one int, and the automorphisms found.
 
     Row i takes bits ``i * n`` to ``i * n + n - 1``, so the key identifies
     the class among graphs of one order only; :func:`form_of_key` turns it
     into the canonical form.  Each automorphism s is a ``bytes`` of length
     ``g.n`` with ``s[v]`` the image of v, each listed once.
+    ``automorphisms`` are known automorphisms of g, in the same form, that
+    start the stored ones; they prune the search and are returned with the
+    ones it finds.  They must be automorphisms of g: any other permutation
+    can prune the least leaf and give a wrong key.
     """
     n = g.n
     rows = g.rows
     best: tuple[int, ...] | None = None
-    autos: list[bytes] = []
+    autos: list[bytes] = list(automorphisms)
     leaf_seen: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
 
     def visit_leaf(cells, path) -> int:

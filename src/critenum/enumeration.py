@@ -39,9 +39,10 @@ seed runs the same step for each vertex, starting from the empty graph,
 whose one neighborhood is forbidden iff some pattern is P1.  The
 obligation cubes of a node belong to that node alone: they are ORed into
 what it filters with, never into the F its children inherit.  Each
-expanded node returns its F once, boxed in a tuple that every child's
-entry in the next level holds by reference, so a level keeps one int of
-2^(n-1) bits per distinct parent: 512 bytes at n = 13, 256 KB at n = 22.
+expanded node returns its F, with its dead ends (below) under pruning,
+once, boxed in a tuple that every child's entry in the next level holds by
+reference, so a level keeps one int of 2^(n-1) bits per distinct parent:
+512 bytes at n = 13, 256 KB at n = 22.
 The box also makes pickle send F once per chunk of the level under
 ``jobs > 1``, where a bare int would be copied into every child's entry.
 
@@ -91,6 +92,23 @@ every copy of a dead class is dropped, the children that remain keep
 their relative order, and each surviving class keeps its first
 representative.  Only the count of nodes visited falls.
 
+A parent's classification also settles masks of its descendants.  Its
+dead ends NC are the s, over all 2^n, with g + s not (k-1)-colorable: the
+complement of the colorable bitmap above.  An expanded node ORs NC into the freeness
+bitmap its children inherit, never into its own filter, as NC holds its
+critical children too.  The inherited bitmap is read as traces on V(g),
+so a descendant h of g keeps NC in the bitmap it filters with, and a mask
+t of h with ``t & V(g)`` in NC gives a child containing g + s, s = t &
+V(g), as a proper induced subgraph (the vertices of g and the new one).
+That child has chi >= k and is not critical: it is dead, and h's
+classification would drop it anyway, so every mask NC removes is dead.
+The output bytes and nodes visited do not change: deadness is an
+isomorphism invariant, so each orbit of h's automorphisms is all dead or
+all alive.  A live orbit loses no mask, so its least allowed mask is kept
+as before; a dead orbit may be represented by another of its masks, which
+is dropped as dead too.  Only fewer masks are classified.  Like the
+dead-child rule this is pruning, so without it nothing is ORed in.
+
 A node's children are also deduplicated before they are built.  The
 canonical search that admitted the node found automorphisms of it, and
 they generate a group A of automorphisms of the parent.  Its allowed masks
@@ -109,6 +127,23 @@ without the step.  This holds for any allowed set, including the
 obligation filter, which is not invariant under A, and for any subgroup of
 the automorphism group.  It is deduplication, not pruning, and runs with
 ``pruning=False`` too.
+
+A child's canonical search starts from automorphisms its parent knows.  An
+automorphism a of g with a(s) = s, extended by v -> v for the new vertex
+v, is an automorphism of g + s.  :func:`_orbit_least` maps each kept mask
+s under every generator of A, and the generators that fix s seed the
+child's :func:`canon.canonical_key`, which prunes with any known
+automorphism.  Transpositions are left out: an automorphism that swaps
+two vertices swaps twins, which stay twins in the child when the swap
+fixes s, and the child's own twin table finds the swap again.  The key
+does not change, since pruning by a true automorphism skips only subtrees
+whose leaf codes equal those of searched ones, and the least leaf stays.
+The seeds are returned with the automorphisms the search finds, and the
+deduplication above holds for any subgroup of the automorphism group, so
+the output bytes stay the same whatever group they generate; the
+unchanged count of canonical searches shows it stays the group the
+unseeded search finds.  Seeding is not pruning of the enumeration and
+runs with ``pruning=False`` too.
 
 One process pool serves the whole run, and results are merged in
 submission order, so output is byte-identical for any job count.
@@ -184,9 +219,9 @@ _EXPAND = 3     # chi < k: expanded unless at the order cap
 
 
 # A node of a level: the first graph of its class, the automorphisms its
-# canonical search found, its parent's freeness bitmap in a 1-tuple shared by
-# its siblings (None for a seed), and the kind its parent found for it (None:
-# classified at the node).
+# canonical search returned, its parent's freeness bitmap with the parent's
+# dead ends in a 1-tuple shared by its siblings (None for a seed), and the
+# kind its parent found for it (None: classified at the node).
 _Node = tuple[Graph, list[bytes], tuple[int] | None, int | None]
 
 
@@ -208,10 +243,11 @@ def _process_node(node: _Node, cfg: SearchConfig):
     if g.n >= cfg.max_order:
         return (_TRUNCATED, None)
     free = _freeness_bitmap(g, cfg.family, None if inherited is None else inherited[0])
-    box = (free,)
+    extensions, dead_ends = _allowed_free_extensions(g, cfg, autos, free)
+    box = (free | dead_ends,)
     children = []
-    for c, c_kind in _allowed_free_extensions(g, cfg, autos, free):
-        key, c_autos = canonical_key(c)
+    for c, c_kind, stabilizer in extensions:
+        key, c_autos = canonical_key(c, stabilizer)
         children.append((key, (c, c_autos, box, c_kind)))
     return (_EXPAND, children)
 
@@ -219,9 +255,9 @@ def _process_node(node: _Node, cfg: SearchConfig):
 def _freeness_bitmap(g: Graph, family: tuple[Graph, ...], inherited: int | None) -> int:
     """The neighborhoods of a new vertex that ``family`` forbids, as a bitmap.
 
-    ``inherited`` is the bitmap of the parent, g less its last vertex, or
-    None for a seed, which starts from the empty graph (see the module
-    docstring).
+    ``inherited`` is the bitmap that the parent, g less its last vertex,
+    passed down (with its dead ends under pruning), or None for a seed,
+    which starts from the empty graph (see the module docstring).
     """
     if inherited is None:
         first, free = 0, int(any(p.n == 1 for p in family))
@@ -232,13 +268,17 @@ def _freeness_bitmap(g: Graph, family: tuple[Graph, ...], inherited: int | None)
     return free
 
 
-def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes],
-                             free: int) -> list[tuple[Graph, int | None]]:
-    """The children of ``g`` to search, one per orbit of ``autos``, with their kinds.
+def _allowed_free_extensions(
+    g: Graph, cfg: SearchConfig, autos: list[bytes], free: int,
+) -> tuple[list[tuple[Graph, int | None, list[bytes]]], int]:
+    """The children of ``g`` to search, one per orbit of ``autos``, and the dead ends.
 
     ``free`` is the freeness bitmap of ``g`` (:func:`_freeness_bitmap`).
-    With pruning, each child comes with its kind from :func:`_child_kinds`
-    and dead children are not built; without, every kind is None.
+    Each child comes with its kind and with the automorphisms of ``autos``
+    that fix its new neighborhood, extended to fix the new vertex.  With
+    pruning, the kind is from :func:`_child_kinds`, dead children are not
+    built, and the dead ends are the bitmap of the s with g + s not
+    (k-1)-colorable; without, every kind is None and the dead ends are 0.
     """
     ones = (1 << (1 << g.n)) - 1
     forbidden = free
@@ -253,14 +293,21 @@ def _allowed_free_extensions(g: Graph, cfg: SearchConfig, autos: list[bytes],
             if y >> v & 1:
                 contains_y &= sides[v][1]
         forbidden |= misses_x | contains_y
-    kept = _orbit_least(set_bits(ones ^ forbidden), autos)
-    kinds = _child_kinds(g, cfg.k, kept) if cfg.pruning else [None] * len(kept)
-    return [(add_vertex_with_neighborhood(g, s), kind)
-            for s, kind in zip(kept, kinds) if kind != _DEAD]
+    kept, stabilizers = _orbit_least(set_bits(ones ^ forbidden), autos)
+    if cfg.pruning:
+        kinds, colorable = _child_kinds(g, cfg.k, kept)
+        dead_ends = ones ^ colorable
+    else:
+        kinds, dead_ends = [None] * len(kept), 0
+    fix_new = bytes([g.n])
+    children = [(add_vertex_with_neighborhood(g, s), kind, [a + fix_new for a in stabilizer])
+                for s, kind, stabilizer in zip(kept, kinds, stabilizers) if kind != _DEAD]
+    return children, dead_ends
 
 
-def _child_kinds(g: Graph, k: int, masks: list[VertexSet]) -> list[int]:
-    """The outcome of g plus a vertex adjacent to s, for each s in ``masks``.
+def _child_kinds(g: Graph, k: int, masks: list[VertexSet]) -> tuple[list[int], int]:
+    """The outcome of g plus a vertex adjacent to s, for each s in ``masks``,
+    and the bitmap of the s, over all 2^n, with g + s (k-1)-colorable.
 
     ``g`` must be (k-1)-colorable.  ``_EXPAND`` when the child is
     (k-1)-colorable, else ``_OUT`` when it is k-vertex-critical, else
@@ -310,24 +357,31 @@ def _child_kinds(g: Graph, k: int, masks: list[VertexSet]) -> list[int]:
             if not need:
                 break
         kinds.append(_DEAD if need else _OUT)
-    return kinds
+    return kinds, colorable
 
 
-def _orbit_least(masks: list[VertexSet], autos: list[bytes]) -> list[VertexSet]:
-    """The least of the ascending ``masks`` in each orbit of the group ``autos`` generate.
+def _orbit_least(masks: list[VertexSet],
+                 autos: list[bytes]) -> tuple[list[VertexSet], list[list[bytes]]]:
+    """The least of the ascending ``masks`` in each orbit of the group ``autos``
+    generate, and for each the generators that fix it, transpositions left out.
 
     A mask is dropped when some automorphism maps an already kept mask onto
-    it; the orbits are closed under the generators, so under the group.
+    it; the orbits are closed under the generators, so under the group.  A
+    transposition automorphism swaps twins, and the child's own twin table
+    finds the swap again.
     """
     if not autos:
-        return masks
+        return masks, [[] for _ in masks]
+    swaps = {a for a in autos if sum(v != w for v, w in enumerate(a)) == 2}
     kept: list[VertexSet] = []
+    stabilizers: list[list[bytes]] = []
     seen: set[VertexSet] = set()
     for s in masks:
         if s in seen:
             continue
         kept.append(s)
         seen.add(s)
+        fixing: list[bytes] = []
         stack = [s]
         while stack:
             t = stack.pop()
@@ -341,7 +395,10 @@ def _orbit_least(masks: list[VertexSet], autos: list[bytes]) -> list[VertexSet]:
                 if image not in seen:
                     seen.add(image)
                     stack.append(image)
-    return kept
+                elif image == t == s and a not in swaps:
+                    fixing.append(a)
+        stabilizers.append(fixing)
+    return kept, stabilizers
 
 
 def recursively_enumerate(

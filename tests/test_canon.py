@@ -195,6 +195,37 @@ def test_search_returns_automorphisms_and_key():
             assert _generated_group(g.n, canonical_key(g)[1]) == set(brute_automorphisms(g))
 
 
+def test_seeded_search_gives_the_key_and_group():
+    # known automorphisms passed in prune the tree but change neither the key
+    # nor the group the returned automorphisms generate
+    rng = random.Random(29)
+    cases = []
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(1, 7), rng.choice([0.2, 0.4, 0.5, 0.6, 0.8]))
+        cases.append((g, brute_automorphisms(g)))
+    cases += [(_twin_blowup(rng, random_graph(rng, rng.randint(3, 4), 0.5)), None)
+              for _ in range(10)]
+    for g in (_petersen(), _hypercube(3), complement(cycle(9))):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cases += [(g, None), (permuted(g, perm), None)]
+    seeded_some = 0
+    for g, group in cases:
+        key, autos = canonical_key(g)
+        if group is None:
+            group = sorted(_generated_group(g.n, autos))
+        assert _generated_group(g.n, autos) == set(group), g
+        for _ in range(4):
+            picked = rng.sample(group, min(len(group), rng.randint(0, 3)))
+            seeds = list(dict.fromkeys(bytes(a) for a in picked))
+            seeded_key, seeded_autos = canonical_key(g, seeds)
+            assert seeded_key == key, (g, seeds)
+            assert seeded_autos[:len(seeds)] == seeds
+            assert _generated_group(g.n, seeded_autos) == set(group), (g, seeds)
+            seeded_some += any(a != bytes(range(g.n)) for a in seeds)
+    assert seeded_some > 100
+
+
 def test_twin_partitions_match_full_tree_and_group():
     # Most of these graphs refine at the root to singletons and twin classes,
     # which the twin prune cuts to one child per level: the rows must be the

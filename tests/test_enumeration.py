@@ -32,8 +32,9 @@ from critenum import (
     seeds_for,
     write_graph6_file,
 )
+import critenum.canon
 import critenum.enumeration
-from critenum.canon import canonical_key
+from critenum.canon import _relabeled, canonical_key
 from critenum.enumeration import (
     _DEAD,
     _EXPAND,
@@ -41,9 +42,11 @@ from critenum.enumeration import (
     _allowed_free_extensions,
     _child_kinds,
     _freeness_bitmap,
+    _orbit_least,
     _process_node,
     find_obligations,
 )
+from critenum.patterns import set_bits
 from oracles import (
     all_graphs,
     brute_automorphisms,
@@ -63,7 +66,7 @@ C6 = parse_pattern("c6")
 def _children(g, cfg, autos=(), inherited=None):
     """The children ``g`` gets in the search, its freeness bitmap built on ``inherited``."""
     free = _freeness_bitmap(g, cfg.family, inherited)
-    return [c for c, _ in _allowed_free_extensions(g, cfg, autos, free)]
+    return [c for c, _, _ in _allowed_free_extensions(g, cfg, autos, free)[0]]
 
 
 def test_one_vertex_extensions_counts():
@@ -294,22 +297,39 @@ def test_nodes_visited_to_order_9(tmp_path, monkeypatch):
     # dead children (chi 5, not critical; those that properly contain K5 among
     # them) are found dead by their parent and never built, so not counted.
     # Children that are automorphic images of a sibling are not built either.
-    searches = 0
+    # The parent's stabilizer automorphisms seed each child's canonical search,
+    # and its dead ends drop dead grandchildren before they are classified:
+    # neither changes the searches, only the leaves and the classified masks.
+    searches = leaves = classified = 0
 
-    def counted(g):
+    def counted(g, automorphisms=()):
         nonlocal searches
         searches += 1
-        return canonical_key(g)
+        return canonical_key(g, automorphisms)
 
+    def leaf(rows, order):
+        nonlocal leaves
+        leaves += 1
+        return _relabeled(rows, order)
+
+    def kinds(g, k, masks):
+        nonlocal classified
+        classified += len(masks)
+        return _child_kinds(g, k, masks)
+
+    monkeypatch.setattr(critenum.canon, "_relabeled", leaf)
     monkeypatch.setattr(critenum.enumeration, "canonical_key", counted)
+    monkeypatch.setattr(critenum.enumeration, "_child_kinds", kinds)
     data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
-    for h, expected, dedup, recorded in [(H13, 1262, 2455, "k13p1-c10.g6"),
-                                         (H14, 1335, 2536, None),
-                                         (HCO, 572, 1298, "cok32p1-c11.g6")]:
-        searches = 0
+    for h, expected, dedup, leaf_count, masks, recorded in [
+            (H13, 1262, 2455, 2987, 2800, "k13p1-c10.g6"),
+            (H14, 1335, 2536, 3076, 2881, None),
+            (HCO, 572, 1298, 1682, 1565, "cok32p1-c11.g6")]:
+        searches = leaves = classified = 0
         res = enumerate_5vc(h, max_order=9)
         assert res.nodes_visited == expected
         assert searches == dedup
+        assert (leaves, classified) == (leaf_count, masks)
         if recorded is not None:
             out = tmp_path / recorded
             write_graph6_file(out, res.graphs)
@@ -346,7 +366,7 @@ def test_child_kinds_match_per_child_oracle(k):
     seen = Counter()
     for g in parents:
         masks = range(1 << g.n)
-        kinds = _child_kinds(g, k, masks)
+        kinds, _ = _child_kinds(g, k, masks)
         assert kinds == [_oracle_kind(add_vertex_with_neighborhood(g, s), k) for s in masks], g
         seen.update(kinds)
     assert seen[_EXPAND] and seen[_DEAD] and seen[_OUT]
@@ -481,6 +501,77 @@ def test_children_one_per_automorphism_orbit(pruning):
         assert kept == least
         dropped += len(allowed) - len(kept)
     assert dropped > 0
+
+
+def test_children_carry_stabilizer_automorphisms():
+    # each kept mask comes with the generators that fix it, transpositions
+    # (twin swaps) left out, and each child with them extended by n -> n,
+    # automorphisms of the child that seed its canonical search
+    rng = random.Random(20261020)
+    family = (P5, H13)
+    cfg = SearchConfig(k=5, family=family, max_order=64)
+    parents = [complement(cycle(5)), complement(cycle(7)), complete(4), cycle(5)]
+    while len(parents) < 24:
+        g = random_graph(rng, rng.randint(4, 7), rng.uniform(0.3, 0.9))
+        if is_family_free(g, family) and is_k_colorable(g, 4) is not None:
+            parents.append(g)
+    stabilized = 0
+    for g in parents:
+        autos = canonical_key(g)[1]
+        free = _freeness_bitmap(g, family, None)
+        kept, stabilizers = _orbit_least(set_bits((1 << (1 << g.n)) - 1 ^ free), autos)
+        assert len(stabilizers) == len(kept)
+        for s, stabilizer in zip(kept, stabilizers):
+            fixing = [a for a in autos if sum(1 << a[v] for v in range(g.n) if s >> v & 1) == s
+                      and sum(a[v] != v for v in range(g.n)) != 2]
+            assert stabilizer == fixing, (g, s)
+            stabilized += bool(stabilizer)
+        for c, _, c_autos in _allowed_free_extensions(g, cfg, autos, free)[0]:
+            for a in c_autos:
+                assert a[g.n] == g.n and permuted(c, list(a)) == c, (g, c, a)
+            assert canonical_key(c, c_autos)[0] == canonical_key(c)[0]
+    assert stabilized > 0
+
+
+@pytest.mark.parametrize("k, family", [(5, (P5, H13)), (5, (P5, HCO)), (4, (P5,))],
+                         ids=["k5-k1,3+p1", "k5-co(k3+2p1)", "k4-p5"])
+def test_inherited_dead_ends_drop_only_dead_grandchildren(k, family):
+    # A parent's dead ends, the s with parent + s not (k-1)-colorable, join the
+    # bitmap its children inherit.  A grandchild whose last vertex has trace s
+    # on the parent properly contains parent + s, so it is dead: each child
+    # keeps the same masks with the same kinds.  The dead ends hold critical
+    # children too, so they never filter the parent's own children.
+    rng = random.Random(20261031 + len(family))
+    cfg = SearchConfig(k=k, family=family, max_order=64)
+    parents = [complete(k - 1)]
+    while len(parents) < 16:
+        g = random_graph(rng, rng.randint(3, 6), rng.uniform(0.3, 0.9))
+        if is_family_free(g, family) and is_k_colorable(g, k - 1) is not None:
+            parents.append(g)
+    removed = critical_dead_ends = 0
+    for g in parents:
+        free = _freeness_bitmap(g, family, None)
+        children, dead_ends = _allowed_free_extensions(g, cfg, canonical_key(g)[1], free)
+        assert dead_ends == sum(1 << s for s in range(1 << g.n)
+                                if is_k_colorable(add_vertex_with_neighborhood(g, s), k - 1)
+                                is None)
+        critical_dead_ends += sum(dead_ends >> c.rows[g.n] & 1 for c, kind, _ in children
+                                  if kind == _OUT)
+        for c, kind, c_autos in children:
+            if kind != _EXPAND:
+                continue
+            autos = canonical_key(c, c_autos)[1]
+            plain = _freeness_bitmap(c, family, free)
+            inherited = _freeness_bitmap(c, family, free | dead_ends)
+            assert [(x.rows[c.n], x_kind) for x, x_kind, _ in
+                    _allowed_free_extensions(c, cfg, autos, plain)[0]] == \
+                [(x.rows[c.n], x_kind) for x, x_kind, _ in
+                 _allowed_free_extensions(c, cfg, autos, inherited)[0]], (g, c)
+            for t in set_bits(inherited & ~plain):
+                report = is_k_vertex_critical(add_vertex_with_neighborhood(c, t), k)
+                assert report.chi >= k and not report.is_vertex_critical, (g, c, t)
+                removed += 1
+    assert removed > 0 and critical_dead_ends > 0
 
 
 def test_all_graphs_counts():
