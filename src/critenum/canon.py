@@ -2,23 +2,25 @@
 
 The canonical form is defined by an individualization-refinement tree:
 
-- :func:`_refine` refines an ordered partition of the vertices to an
-  equitable one.  Every step depends only on adjacency and on the order of
-  the cells, never on vertex names, so refinement is equivariant: for any
-  relabeling s, refining the relabeled partition of the relabeled graph
-  gives the relabeled result.
+- :func:`_refine` refines an ordered partition of the vertices, a list of
+  cell masks, to an equitable one.  Every step depends only on adjacency
+  and on the order of the cells, never on vertex names, so refinement is
+  equivariant: for any relabeling s, refining the relabeled partition of
+  the relabeled graph gives the relabeled result.
 - The root is the refinement of the one-cell partition.  The children of a
   node are obtained by individualizing each vertex v of its first cell with
   more than one vertex (the target cell: ``{v}`` is put in front of the rest
   of the cell) and refining again.  The individualized vertices of a node
   are its path.
 - A leaf is a partition into singletons, read as a vertex order.  Its code
-  is the tuple of adjacency rows of the graph relabeled by that order.
+  is the adjacency rows of the graph relabeled by that order, packed into
+  one int with row 0 in the highest n bits, so that codes compare as their
+  tuples of rows do.
 
-The canonical form is the least leaf code of the full tree, codes compared
-as tuples of row integers.  Relabeling the graph relabels the tree and
-leaves the set of leaf codes as it is, so the form is an isomorphism
-invariant, and it is a graph isomorphic to the input.
+The canonical form is the least leaf code of the full tree.  Relabeling
+the graph relabels the tree and leaves the set of leaf codes as it is, so
+the form is an isomorphism invariant, and it is a graph isomorphic to the
+input.
 
 If an automorphism s fixes every vertex of a node's path, equivariance
 maps the node onto itself and the subtree below child v onto the subtree
@@ -56,9 +58,9 @@ children that are automorphic images of a sibling.
 
 :func:`canonical_form` is the graph6 encoding of the canonically relabeled
 graph, so it doubles as a ready-to-write output line.  The enumeration
-does not dedup on it: its key is :func:`canonical_key`, the canonical rows
-packed into one int, which needs no encoding and identifies a class among
-graphs of one order.  Only emitted graphs are encoded, from their key by
+does not dedup on it: its key is :func:`canonical_key`, the least leaf
+code itself, which needs no encoding and identifies a class among graphs
+of one order.  Only emitted graphs are encoded, from their key by
 :func:`form_of_key`, which :func:`canonical_form` calls too.
 """
 
@@ -67,63 +69,66 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graph6 import encode_graph6
-from .graphs import Graph, _graph
+from .graphs import Graph, _graph, bits
 
 CanonicalForm = bytes
 
 
-def _refine(rows, cells, masks, stale) -> None:
-    """Refine an ordered partition to equitability, in place.
+def _refine(rows, cells, stale) -> None:
+    """Refine an ordered partition, a list of cell masks, to equitability, in place.
 
     Each round splits the first cell whose vertices differ in their edge
     counts into the cells of the partition.  The pieces replace it in
-    place, ordered by that count profile, and keep ascending vertex order.
-    Both choices are relabeling-invariant.
+    place, ordered by that count profile, which is relabeling-invariant.
 
-    ``masks`` holds the vertex mask of each cell.  ``stale[i]`` is the union
-    of the cells that split since cell i was last found uniform, 0 if none.
-    It is a union of cells that cell i was uniform against, so the vertices
-    of cell i agree in their counts into every cell outside it and in their
-    count into all of it: their profiles differ, if at all, in the counts
-    into the cells inside it but the last, and sort in that order.
+    ``stale[i]`` is the union of the cells that split since cell i was last
+    found uniform, 0 if none.  It is a union of cells that cell i was
+    uniform against, so the vertices of cell i agree in their counts into
+    every cell outside it and in their count into all of it: their profiles
+    differ, if at all, in the counts into the cells inside it but the last,
+    and sort in that order.
     """
     ci = 0
     while ci < len(cells):
         cell = cells[ci]
         stale_mask = stale[ci]
-        if not stale_mask or len(cell) == 1:
+        size = cell.bit_count()
+        if not stale_mask or size == 1:
             ci += 1
             continue
         stale[ci] = 0
         # Two vertices of a cell count their own edge into it alike, so
         # equal rows on the rest of the stale mask make their profiles equal.
-        if len(cell) == 2 and not (rows[cell[0]] ^ rows[cell[1]]) & stale_mask & ~masks[ci]:
+        if size == 2 and not (rows[(cell & -cell).bit_length() - 1]
+                              ^ rows[cell.bit_length() - 1]) & stale_mask & ~cell:
             ci += 1
             continue
-        inside = [m for m in masks if m & stale_mask]
+        inside = [m for m in cells if m & stale_mask]
         inside.pop()
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for v in cell:
-            rv = rows[v]
-            groups.setdefault(tuple([(rv & m).bit_count() for m in inside]), []).append(v)
+        groups: dict[tuple[int, ...], int] = {}
+        rest = cell
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            rv = rows[b.bit_length() - 1]
+            profile = tuple([(rv & m).bit_count() for m in inside])
+            groups[profile] = groups.get(profile, 0) | b
         if len(groups) == 1:
             ci += 1
             continue
-        pieces = [groups[p] for p in sorted(groups)]
-        split = masks[ci]
-        stale[:] = [s | split for s in stale]
-        cells[ci : ci + 1] = pieces
-        masks[ci : ci + 1] = [sum([1 << v for v in p]) for p in pieces]
-        stale[ci : ci + 1] = [split] * len(pieces)
+        stale[:] = [s | cell for s in stale]
+        cells[ci : ci + 1] = [groups[p] for p in sorted(groups)]
+        stale[ci : ci + 1] = [cell] * len(groups)
         ci = 0
 
 
-def _relabeled(rows, order) -> tuple[int, ...]:
-    """The adjacency rows relabeled so that ``order[i]`` becomes vertex i."""
-    bit = [0] * len(order)
+def _relabeled(rows, order) -> int:
+    """The leaf code of ``order``: the rows relabeled so that ``order[i]`` is vertex i."""
+    n = len(order)
+    bit = [0] * n
     for i, v in enumerate(order):
         bit[v] = 1 << i
-    code = []
+    code = 0
     for v in order:
         r = rows[v]
         m = 0
@@ -131,8 +136,8 @@ def _relabeled(rows, order) -> tuple[int, ...]:
             b = r & -r
             m |= bit[b.bit_length() - 1]
             r ^= b
-        code.append(m)
-    return tuple(code)
+        code = code << n | m
+    return code
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -141,27 +146,27 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 
 def canonical_key(g: Graph, automorphisms: Iterable[bytes] = ()) -> tuple[int, list[bytes]]:
-    """The canonical rows packed into one int, and the automorphisms found.
+    """The key, which is the least leaf code, and the automorphisms found.
 
-    Row i takes bits ``i * n`` to ``i * n + n - 1``, so the key identifies
-    the class among graphs of one order only; :func:`form_of_key` turns it
-    into the canonical form.  Each automorphism s is a ``bytes`` of length
-    ``g.n`` with ``s[v]`` the image of v, each listed once.
-    ``automorphisms`` are known automorphisms of g, in the same form, that
-    start the stored ones; they prune the search and are returned with the
-    ones it finds.  They must be automorphisms of g: any other permutation
-    can prune the least leaf and give a wrong key.
+    Row i of the canonical rows takes bits ``(n - 1 - i) * n`` on, so the
+    key identifies the class among graphs of one order only;
+    :func:`form_of_key` turns it into the canonical form.  Each automorphism
+    s is a ``bytes`` of length ``g.n`` with ``s[v]`` the image of v, each
+    listed once.  ``automorphisms`` are known automorphisms of g, in the
+    same form, that start the stored ones; they prune the search and are
+    returned with the ones it finds.  They must be automorphisms of g: any
+    other permutation can prune the least leaf and give a wrong key.
     """
     n = g.n
     rows = g.rows
-    best: tuple[int, ...] | None = None
+    best: int | None = None
     autos: list[bytes] = list(automorphisms)
-    leaf_seen: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
+    leaf_seen: dict[int, tuple[list[int], tuple[int, ...]]] = {}
 
     def visit_leaf(cells, path) -> int:
         """Record a leaf; return the level to abandon, or ``n`` for none."""
         nonlocal best
-        perm = [c[0] for c in cells]
+        perm = [m.bit_length() - 1 for m in cells]
         code = _relabeled(rows, perm)
         seen = leaf_seen.get(code)
         if seen is None:
@@ -179,16 +184,15 @@ def canonical_key(g: Graph, automorphisms: Iterable[bytes] = ()) -> tuple[int, l
             level += 1
         return level
 
-    def descend(cells, masks, path) -> int:
+    def descend(cells, path) -> int:
         """Search below a node; return the level to abandon, or ``n``."""
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1:
+        for ci, cmask in enumerate(cells):
+            if cmask.bit_count() > 1:
                 break
         else:
             return visit_leaf(cells, path)
         depth = len(path)
-        cmask = masks[ci]
-        for v in cell:
+        for v in bits(cmask):
             bit = 1 << v
             done = cmask & (bit - 1)
             if done and (twins_below[v] & done
@@ -196,38 +200,34 @@ def canonical_key(g: Graph, automorphisms: Iterable[bytes] = ()) -> tuple[int, l
                                 for s in autos)):
                 continue
             rv = rows[v]
-            sub_cells = cells[:ci] + [[v], [w for w in cell if w != v]] + cells[ci + 1 :]
-            sub_masks = masks[:ci] + [bit, cmask ^ bit] + masks[ci + 1 :]
+            sub = cells[:ci] + [bit, cmask ^ bit] + cells[ci + 1 :]
             # The first round of refinement after individualizing v in an
             # equitable partition can only split by adjacency to v: it
             # splits the first cell holding both neighbors and non-neighbors
             # of v, non-neighbors first.
-            for xi, xm in enumerate(sub_masks):
+            for xi, xm in enumerate(sub):
                 adj = rv & xm
                 if adj and adj != xm:
-                    x = sub_cells[xi]
-                    sub_cells[xi : xi + 1] = [[u for u in x if not rv >> u & 1],
-                                              [u for u in x if rv >> u & 1]]
-                    sub_masks[xi : xi + 1] = [xm ^ adj, adj]
+                    sub[xi : xi + 1] = [xm ^ adj, adj]
                     # Cells up to the new pieces are uniform against all but
                     # the split cell; later ones were not checked against
                     # the individualized cell either.
-                    stale = [xm] * (xi + 2) + [cmask | xm] * (len(sub_cells) - xi - 2)
-                    _refine(rows, sub_cells, sub_masks, stale)
+                    stale = [xm] * (xi + 2) + [cmask | xm] * (len(sub) - xi - 2)
+                    _refine(rows, sub, stale)
                     break
-            back = descend(sub_cells, sub_masks, path + (v,))
+            back = descend(sub, path + (v,))
             if back < depth:
                 return back
         return n
 
     # The first round on the one-cell partition splits it by degree; each
     # degree class is then uniform against the whole vertex set.
-    degree_cells: dict[int, list[int]] = {}
+    degree_cells: dict[int, int] = {}
     for v in range(n):
-        degree_cells.setdefault(rows[v].bit_count(), []).append(v)
+        d = rows[v].bit_count()
+        degree_cells[d] = degree_cells.get(d, 0) | 1 << v
     cells = [degree_cells[d] for d in sorted(degree_cells)]
-    masks = [sum([1 << v for v in c]) for c in cells]
-    _refine(rows, cells, masks, [(1 << n) - 1] * len(cells))
+    _refine(rows, cells, [(1 << n) - 1] * len(cells))
     # twins_below[v] is the mask of v's twins below v, which share its root
     # cell.  False twins share open rows, true twins closed rows.  One dict
     # holds both, as rows[u] == rows[w] | 1 << w would put w in rows[u], so
@@ -235,12 +235,12 @@ def canonical_key(g: Graph, automorphisms: Iterable[bytes] = ()) -> tuple[int, l
     twins_below = [0] * n
     below: dict[int, int] = {}
     for cell in cells:
-        if len(cell) > 1:
-            for v in cell:
+        if cell.bit_count() > 1:
+            for v in bits(cell):
                 for twin_key in (rows[v], rows[v] | 1 << v):
                     twins_below[v] |= below.get(twin_key, 0)
                     below[twin_key] = below.get(twin_key, 0) | 1 << v
-    descend(cells, masks, ())
+    descend(cells, ())
     assert best is not None
     for v, tb in enumerate(twins_below):
         if tb:
@@ -248,16 +248,14 @@ def canonical_key(g: Graph, automorphisms: Iterable[bytes] = ()) -> tuple[int, l
             u = (tb & -tb).bit_length() - 1
             swap[u], swap[v] = v, u
             autos.append(bytes(swap))
-    key = 0
-    for r in reversed(best):
-        key = key << n | r
-    return key, list(dict.fromkeys(autos))
+    return best, list(dict.fromkeys(autos))
 
 
 def form_of_key(n: int, key: int) -> CanonicalForm:
     """The canonical form of the order-``n`` class with :func:`canonical_key` ``key``."""
     full = (1 << n) - 1
-    return encode_graph6(_graph(n, tuple(key >> (i * n) & full for i in range(n)))).encode("ascii")
+    rows = tuple(key >> i * n & full for i in reversed(range(n)))  # row 0 highest
+    return encode_graph6(_graph(n, rows)).encode("ascii")
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

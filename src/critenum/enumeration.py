@@ -201,7 +201,7 @@ class EnumerationResult:
     graphs: list[Graph]
     per_order_counts: dict[int, int]
     nodes_visited: int
-    open_nodes: int  # graphs still extendable at the order cap
+    open_nodes: int  # graphs still extendable at the order cap, and seeds above it
 
     @property
     def complete(self) -> bool:
@@ -317,17 +317,11 @@ def _child_kinds(g: Graph, k: int, masks: list[VertexSet]) -> tuple[list[int], i
     n = g.n
     full = (1 << n) - 1
     sides = _vertex_bitmaps(n)
-    indep: list[tuple[VertexSet, int]] = []  # each independent set I, with D(I)
-
-    def grow(i: VertexSet, d: int, cand: VertexSet) -> None:
-        indep.append((i, d))
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            grow(i | b, d & sides[v][0], cand & ~g.rows[v])
-
-    grow(0, (1 << (1 << n)) - 1, full)
+    # Each independent set I with D(I), built one vertex at a time as the
+    # freeness bitmap is: vertex v adds I + v for each listed I missing N(v).
+    indep: list[tuple[VertexSet, int]] = [(0, (1 << (1 << n)) - 1)]
+    for v, r in enumerate(g.rows):
+        indep += [(i | 1 << v, d & sides[v][0]) for i, d in indep if not i & r]
     t = 1 if k >= 2 else 0  # T: the W with chi(g[W]) <= k - 2; none when k = 1
     for _ in range(k - 2):
         grown = 0
@@ -410,27 +404,30 @@ def recursively_enumerate(
 
     Every such graph of order <= max_order that contains some seed as an
     induced subgraph is returned once, sorted by :func:`sort_graphs`.  A
-    seed above the order cap is skipped; a seed that is not family-free is
-    an error naming its position in ``cfg.seeds`` and its graph6.  Each
-    level is one pass of :func:`_process_node` over its distinct graphs;
-    their labelled children are merged into the next level as each result
-    arrives, in submission order.  ``progress(order, count)`` is called
-    once per order with the count of that pass.  Truncation (an extendable
-    graph stopped by the order cap) is counted in ``open_nodes``, and
-    ``complete`` is False then, never silently.  ``jobs`` must be at least
-    1; at most ``os.cpu_count()`` worker processes are started.
+    seed that is not family-free is an error naming its position in
+    ``cfg.seeds`` and its graph6.  Each level is one pass of
+    :func:`_process_node` over its distinct graphs; their labelled children
+    are merged into the next level as each result arrives, in submission
+    order.  ``progress(order, count)`` is called once per order with the
+    count of that pass.  Truncation (an extendable graph stopped by the
+    order cap, or a seed above the cap, which is never searched) is counted
+    in ``open_nodes``, and ``complete`` is False then, never silently.
+    ``jobs`` must be at least 1; at most ``os.cpu_count()`` worker
+    processes are started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     seeds_at: dict[int, list[Graph]] = {}
+    visited = open_nodes = 0
     for i, seed in enumerate(cfg.seeds, 1):
         if not is_family_free(seed, cfg.family):
             raise ValueError(f"seed {i} of {len(cfg.seeds)} ({encode_graph6(seed)}) "
                              "is not family-free")
         if seed.n <= cfg.max_order:
             seeds_at.setdefault(seed.n, []).append(seed)
-    visited = open_nodes = 0
+        else:  # the cap stopped it before it was searched
+            open_nodes += 1
     emitted: list[tuple[Graph, CanonicalForm]] = []
     pool = None
     if jobs > 1:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -127,13 +128,15 @@ def test_decode_is_fixed_point():
         assert are_isomorphic(back, g)
         assert canonical_form(back) == form
         key, n = canonical_key(g)[0], g.n  # the rows the canonical search labels g with
-        assert tuple(key >> (i * n) & ((1 << n) - 1) for i in range(n)) == back.rows
+        assert tuple(key >> (n - 1 - i) * n & ((1 << n) - 1) for i in range(n)) == back.rows
 
 
 def test_highly_symmetric_graphs():
+    # Q6, 12 C5 and 4 Petersen have no twins, so their searches branch above n = 16
     for g in [complete(8), complement(complete(8)), complete_bipartite(4, 4),
               cycle(8), disjoint_union(cycle(5), cycle(5)), _petersen(), _hypercube(4),
-              _paley(13)]:
+              _paley(13), _hypercube(6), reduce(disjoint_union, [cycle(5)] * 12),
+              reduce(disjoint_union, [_petersen()] * 4)]:
         perm = list(range(g.n))
         random.Random(9).shuffle(perm)
         assert canonical_form(g) == canonical_form(permuted(g, perm))

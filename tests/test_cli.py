@@ -46,7 +46,7 @@ def test_enumerate_small_run(tmp_path, capsys):
     assert len(lines) == 2
     graphs = [decode_graph6(line) for line in lines]
     assert [g.n for g in graphs] == [5, 7]
-    assert "TRUNCATED at the order cap with 26 open nodes" in err
+    assert "TRUNCATED at the order cap with 27 open nodes" in err  # co-C9 among them
 
 
 def test_enumerate_deterministic_across_jobs(tmp_path, capsys):
@@ -89,9 +89,23 @@ def test_enumerate_seed_above_cap_skipped(tmp_path, capsys):
          "--max-order", "7", "--out", str(out)],
         capsys,
     )
-    assert code == 0
+    assert code == 2  # the seed is never searched, so the search is not complete
     assert out.read_text() == ""
     assert "wrote 0 graphs" in err
+    assert err.splitlines()[-1].endswith("with 1 open nodes: completeness not established")
+
+
+def test_enumerate_seed_auto_below_c5_exits_2(tmp_path, capsys):
+    # k = 3 {P5}: K3 is written, and C5, a seed above the cap, leaves the run open
+    out = tmp_path / "k3.g6"
+    code, _, err = run(
+        ["enumerate", "--k", "3", "--forbid", "p5", "--seed", "auto", "--max-order", "4",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert len(out.read_text().splitlines()) == 1
+    assert err.splitlines()[-1].endswith("with 1 open nodes: completeness not established")
 
 
 def test_enumerate_empty_seed_file(tmp_path, capsys):

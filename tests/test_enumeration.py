@@ -102,7 +102,8 @@ def test_seed_above_cap_skipped():
                        seeds=(complete(5), complement(cycle(9))))
     res = recursively_enumerate(cfg)
     assert [g.n for g in res.graphs] == [5]
-    assert res.nodes_visited == 1 and res.complete
+    # co-C9 is never searched, so it is an open node and the run is not complete
+    assert res.nodes_visited == 1 and not res.complete and res.open_nodes == 1
 
 
 def test_counts_to_order_8():
@@ -168,6 +169,13 @@ def test_seeded_k3_emits_k3_and_c5():
     assert [canonical_form(g) for g in res.graphs] == [canonical_form(complete(3)),
                                                        canonical_form(cycle(5))]
     assert res.complete
+
+
+def test_seeded_k3_below_c5_is_not_complete():
+    # the seed C5 is above cap 4 and never searched: an open node, not a closed run
+    res = _seeded(3, (P5,), 4)
+    assert [canonical_form(g) for g in res.graphs] == [canonical_form(complete(3))]
+    assert res.open_nodes == 1 and not res.complete
 
 
 def test_seeded_k4_emits_the_12_known_p5_free_graphs():
@@ -584,4 +592,4 @@ def test_truncation_reported():
     res = recursively_enumerate(cfg)
     assert not res.complete  # the seed itself is an open branch at the cap
     assert res.open_nodes == 1
-    assert enumerate_5vc(H13, max_order=8).open_nodes == 182
+    assert enumerate_5vc(H13, max_order=8).open_nodes == 183  # co-C9 among them
