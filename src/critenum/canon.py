@@ -56,6 +56,11 @@ closed ones), never both, so a twin class of m vertices gives m - 1 swaps,
 which generate all its permutations.  The enumeration uses the automorphisms to skip
 children that are automorphic images of a sibling.
 
+The search is two module functions, :func:`_descend` and :func:`_visit_leaf`,
+that take its state as arguments: a nested function that calls itself holds
+its own closure cell, a reference cycle that would keep each search's state
+alive until the cyclic garbage collector ran.
+
 :func:`canonical_form` is the graph6 encoding of the canonically relabeled
 graph, so it doubles as a ready-to-write output line.  The enumeration
 does not dedup on it: its key is :func:`canonical_key`, the least leaf
@@ -145,6 +150,66 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return form_of_key(g.n, canonical_key(g)[0])
 
 
+def _visit_leaf(rows, autos, leaf_seen, cells, path) -> int:
+    """Record a leaf; return the level to abandon, or ``n`` for none.
+
+    ``leaf_seen`` maps each leaf code to the vertex order and path it was
+    first met at; a code met again appends an automorphism to ``autos``.
+    """
+    perm = [m.bit_length() - 1 for m in cells]
+    code = _relabeled(rows, perm)
+    seen = leaf_seen.get(code)
+    if seen is None:
+        leaf_seen[code] = (perm, path)
+        return len(rows)
+    seen_perm, seen_path = seen
+    sigma = [0] * len(rows)
+    for v, w in zip(seen_perm, perm):
+        sigma[v] = w
+    autos.append(bytes(sigma))
+    level = 0
+    while path[level] == seen_path[level]:
+        level += 1
+    return level
+
+
+def _descend(rows, twins_below, autos, leaf_seen, cells, path) -> int:
+    """Search below the node ``cells`` at ``path``; return the level to abandon, or ``n``."""
+    for ci, cmask in enumerate(cells):
+        if cmask.bit_count() > 1:
+            break
+    else:
+        return _visit_leaf(rows, autos, leaf_seen, cells, path)
+    depth = len(path)
+    for v in bits(cmask):
+        bit = 1 << v
+        done = cmask & (bit - 1)
+        if done and (twins_below[v] & done
+                     or any(done >> s[v] & 1 and all(s[f] == f for f in path)
+                            for s in autos)):
+            continue
+        rv = rows[v]
+        sub = cells[:ci] + [bit, cmask ^ bit] + cells[ci + 1 :]
+        # The first round of refinement after individualizing v in an
+        # equitable partition can only split by adjacency to v: it
+        # splits the first cell holding both neighbors and non-neighbors
+        # of v, non-neighbors first.
+        for xi, xm in enumerate(sub):
+            adj = rv & xm
+            if adj and adj != xm:
+                sub[xi : xi + 1] = [xm ^ adj, adj]
+                # Cells up to the new pieces are uniform against all but
+                # the split cell; later ones were not checked against
+                # the individualized cell either.
+                stale = [xm] * (xi + 2) + [cmask | xm] * (len(sub) - xi - 2)
+                _refine(rows, sub, stale)
+                break
+        back = _descend(rows, twins_below, autos, leaf_seen, sub, path + (v,))
+        if back < depth:
+            return back
+    return len(rows)
+
+
 def canonical_key(g: Graph, automorphisms: Iterable[bytes] = ()) -> tuple[int, list[bytes]]:
     """The key, which is the least leaf code, and the automorphisms found.
 
@@ -159,67 +224,8 @@ def canonical_key(g: Graph, automorphisms: Iterable[bytes] = ()) -> tuple[int, l
     """
     n = g.n
     rows = g.rows
-    best: int | None = None
     autos: list[bytes] = list(automorphisms)
     leaf_seen: dict[int, tuple[list[int], tuple[int, ...]]] = {}
-
-    def visit_leaf(cells, path) -> int:
-        """Record a leaf; return the level to abandon, or ``n`` for none."""
-        nonlocal best
-        perm = [m.bit_length() - 1 for m in cells]
-        code = _relabeled(rows, perm)
-        seen = leaf_seen.get(code)
-        if seen is None:
-            leaf_seen[code] = (perm, path)
-            if best is None or code < best:
-                best = code
-            return n
-        seen_perm, seen_path = seen
-        sigma = [0] * n
-        for v, w in zip(seen_perm, perm):
-            sigma[v] = w
-        autos.append(bytes(sigma))
-        level = 0
-        while path[level] == seen_path[level]:
-            level += 1
-        return level
-
-    def descend(cells, path) -> int:
-        """Search below a node; return the level to abandon, or ``n``."""
-        for ci, cmask in enumerate(cells):
-            if cmask.bit_count() > 1:
-                break
-        else:
-            return visit_leaf(cells, path)
-        depth = len(path)
-        for v in bits(cmask):
-            bit = 1 << v
-            done = cmask & (bit - 1)
-            if done and (twins_below[v] & done
-                         or any(done >> s[v] & 1 and all(s[f] == f for f in path)
-                                for s in autos)):
-                continue
-            rv = rows[v]
-            sub = cells[:ci] + [bit, cmask ^ bit] + cells[ci + 1 :]
-            # The first round of refinement after individualizing v in an
-            # equitable partition can only split by adjacency to v: it
-            # splits the first cell holding both neighbors and non-neighbors
-            # of v, non-neighbors first.
-            for xi, xm in enumerate(sub):
-                adj = rv & xm
-                if adj and adj != xm:
-                    sub[xi : xi + 1] = [xm ^ adj, adj]
-                    # Cells up to the new pieces are uniform against all but
-                    # the split cell; later ones were not checked against
-                    # the individualized cell either.
-                    stale = [xm] * (xi + 2) + [cmask | xm] * (len(sub) - xi - 2)
-                    _refine(rows, sub, stale)
-                    break
-            back = descend(sub, path + (v,))
-            if back < depth:
-                return back
-        return n
-
     # The first round on the one-cell partition splits it by degree; each
     # degree class is then uniform against the whole vertex set.
     degree_cells: dict[int, int] = {}
@@ -240,15 +246,14 @@ def canonical_key(g: Graph, automorphisms: Iterable[bytes] = ()) -> tuple[int, l
                 for twin_key in (rows[v], rows[v] | 1 << v):
                     twins_below[v] |= below.get(twin_key, 0)
                     below[twin_key] = below.get(twin_key, 0) | 1 << v
-    descend(cells, ())
-    assert best is not None
+    _descend(rows, twins_below, autos, leaf_seen, cells, ())
     for v, tb in enumerate(twins_below):
         if tb:
             swap = list(range(n))
             u = (tb & -tb).bit_length() - 1
             swap[u], swap[v] = v, u
             autos.append(bytes(swap))
-    return best, list(dict.fromkeys(autos))
+    return min(leaf_seen), list(dict.fromkeys(autos))
 
 
 def form_of_key(n: int, key: int) -> CanonicalForm:

@@ -417,7 +417,10 @@ def _forbidden_by_plan(host: Graph, v: int, plan, sides) -> int:
     the cube of the vertices it has placed, so a step costs one AND.  A step
     works out the candidates of the next one for each vertex it places, and
     when the next one is the last, ORs their sides before the one AND with
-    the cube instead of going deeper.
+    the cube instead of going deeper.  The search is one loop over per-step
+    lists, not a nested function that calls itself: that would hold its own
+    closure cell, a reference cycle that keeps the search's state alive until
+    the cyclic garbage collector runs.
     """
     prev, marked, above = plan
     pn = len(prev)
@@ -429,11 +432,15 @@ def _forbidden_by_plan(host: Graph, v: int, plan, sides) -> int:
     hrows = host.rows
     placed = [0] * pn  # host row of the vertex placed at each step
     chosen = [0] * pn  # its bit
+    # Per step below the current one, saved when the search went on from it:
+    # its candidates not yet tried, and the image and the cube it started from.
+    cands = [0] * pn
+    useds = [0] * pn
+    cubes = [0] * pn
     last = pn - 1
     forbidden = 0
-
-    def dfs(s: int, used: int, cube: int, cand: int) -> None:  # used: the image so far
-        nonlocal forbidden
+    s, cand, used, cube = 0, 1 << v, 0, -1  # -1: every bit set, the cube of no vertex
+    while True:
         mark = marked[s]
         nxt = s + 1
         nprev, nabove, nmark = prev[nxt], above[nxt], marked[nxt]
@@ -453,17 +460,20 @@ def _forbidden_by_plan(host: Graph, v: int, plan, sides) -> int:
                     break
             else:
                 if nxt < last:
-                    dfs(nxt, used | b, cube & sides[h][mark], c)
-                    continue
+                    cands[s], useds[s], cubes[s] = cand, used, cube
+                    s, cand, used, cube = nxt, c, used | b, cube & sides[h][mark]
+                    break
                 either = 0
                 while c:
                     b = c & -c
                     c ^= b
                     either |= sides[b.bit_length() - 1][nmark]
                 forbidden |= cube & sides[h][mark] & either
-
-    dfs(0, 0, -1, 1 << v)  # -1: every bit set, the cube of no vertex
-    return forbidden
+        else:  # step s has no candidate left: back to the step below
+            if not s:
+                return forbidden
+            s -= 1
+            cand, used, cube = cands[s], useds[s], cubes[s]
 
 
 def forbidden_through(g: Graph, family: Iterable[Graph], v: int) -> int:

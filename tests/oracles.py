@@ -10,11 +10,13 @@ from every induced embedding of P - r for every vertex r, found by plain
 backtracking, and extension masks are filtered one mask at a time.  Pinned
 searches are checked against the same embeddings of P.  The reference
 generator extends every graph by every neighborhood; it dedups with the
-canonical form, so it checks the search, not canon.
+canonical form, so it checks the search, not canon.  :func:`cyclic_garbage`
+counts what a call leaves for the cyclic collector.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from typing import Iterator
@@ -38,6 +40,23 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(n, rows)
+
+
+def cyclic_garbage(run) -> int:
+    """The unreachable objects ``run()`` leaves for the cyclic collector.
+
+    Reference counting frees everything else as soon as it is dropped, so
+    the collector is switched off while ``run`` runs, and on again after.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:

@@ -24,6 +24,7 @@ from oracles import (
     all_graphs,
     brute_automorphisms,
     brute_isomorphic,
+    cyclic_garbage,
     full_tree_canonical_rows,
     permuted,
     random_graph,
@@ -227,6 +228,46 @@ def test_seeded_search_gives_the_key_and_group():
             assert _generated_group(g.n, seeded_autos) == set(group), (g, seeds)
             seeded_some += any(a != bytes(range(g.n)) for a in seeds)
     assert seeded_some > 100
+
+
+def _kernel_cases(seed):
+    """Seeded graphs to n = 14, twin blow-ups and the symmetric graphs, each
+    with a few products of two of its automorphisms to seed the search with."""
+    rng = random.Random(seed)
+    graphs = [random_graph(rng, rng.randint(0, 14), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+              for _ in range(150)]
+    graphs += [_twin_blowup(rng, random_graph(rng, rng.randint(3, 5), 0.5)) for _ in range(20)]
+    for g in (_petersen(), _hypercube(3), complement(cycle(9))):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs += [g, permuted(g, perm)]
+    cases = []
+    for g in graphs:
+        autos = canonical_key(g)[1]
+        pairs = [rng.sample(autos, 2) for _ in range(rng.randint(0, 3))] if len(autos) > 1 else []
+        seeds = list(dict.fromkeys(bytes(a[v] for v in b) for a, b in pairs))
+        cases.append((g, seeds))
+    return cases
+
+
+def test_canonical_keys_and_automorphisms_are_pinned():
+    # the key and the automorphisms, in their order, with and without seeds:
+    # a change to the search that keeps the tree keeps every one of them
+    digest = hashlib.sha256()
+    seeded = 0
+    for g, seeds in _kernel_cases(20261021):
+        digest.update(repr((g.n, canonical_key(g), canonical_key(g, seeds))).encode())
+        seeded += bool(seeds)
+    assert seeded > 50
+    assert digest.hexdigest() == "5daf6db54ec9305e3c81678fbf0ee287a85c24b274ae73983837b6e846577eee"
+
+
+def test_canonical_search_leaves_no_cyclic_garbage():
+    # everything a search allocates is freed by reference counting when it
+    # returns, seeded or not, so the cyclic collector has nothing to sweep
+    cases = _kernel_cases(20261022)
+    assert cyclic_garbage(lambda: [(canonical_key(g), canonical_key(g, seeds))
+                                   for g, seeds in cases]) == 0
 
 
 def test_twin_partitions_match_full_tree_and_group():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -32,6 +33,7 @@ from critenum.patterns import (
 )
 from oracles import (
     brute_forbidden_traces,
+    cyclic_garbage,
     pinned_images,
     random_graph,
     scan_extension_masks,
@@ -372,6 +374,35 @@ def test_trace_search_reports_each_trace_once(name, monkeypatch):
             total += len(reached)
         assert union == brute_forbidden_traces(g, family), (name, g)
     assert total > 0
+
+
+def _trace_cases(seed):
+    """Seeded free graphs of order 0 to 11 for each named pattern, its plans cached."""
+    rng = random.Random(seed)
+    cases = []
+    for name in ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)", "c5", "c6", "2p2"]:
+        family = [parse_pattern(name)]
+        _anchored_plans(family[0])
+        cases += [(_random_free_graph(rng, rng.randint(0, 11), family), family)
+                  for _ in range(25)]
+    return cases
+
+
+def test_trace_bitmaps_are_pinned():
+    # the bitmap of every vertex: a change to the search that keeps its
+    # embeddings keeps every one of them
+    digest = hashlib.sha256()
+    for g, family in _trace_cases(20261021):
+        digest.update(repr([forbidden_through(g, family, v) for v in range(g.n)]).encode())
+    assert digest.hexdigest() == "04eee310b0c1c0490f0e73fa51e94b796a9aadf131c81a1e9d7e1ac5dab229f6"
+
+
+def test_trace_search_leaves_no_cyclic_garbage():
+    # the search keeps its state in per-step lists, freed by reference
+    # counting when it returns, so the cyclic collector has nothing to sweep
+    cases = _trace_cases(20261022)
+    assert cyclic_garbage(lambda: [forbidden_through(g, family, v)
+                                   for g, family in cases for v in range(g.n)]) == 0
 
 
 def _cube_bitmap(traces, n):
