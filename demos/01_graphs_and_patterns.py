@@ -12,8 +12,10 @@ from critenum import (
     encode_graph6,
     find_induced,
     is_family_free,
+    is_k_vertex_critical,
     parse_pattern,
     path,
+    seeds_for,
 )
 
 # The basic constructors mirror the usual notation: P5, C5, K5, K{1,4}.
@@ -38,8 +40,11 @@ print("P5 inside C6:", find_induced(cycle(6), p5))
 print("K3 inside C5:", find_induced(c5, complete(3)))
 
 # A graph is family-free when no member of the family embeds.  The complement
-# of C9 avoids both P5 and co(K3+2P1) - it will matter later: it is one of
-# the two sporadic 5-vertex-critical graphs.
+# of C9 avoids both P5 and co(K3+2P1) - it will matter later: it is one of the
+# odd antiholes that seeds_for(5, ...) returns to start the search from, and
+# is itself 5-vertex-critical.
 family = [parse_pattern("p5"), parse_pattern("co(k3+2p1)")]
 c9bar = complement(cycle(9))
 print("complement(C9) is {p5, co(k3+2p1)}-free:", is_family_free(c9bar, family))
+print("complement(C9) is a k = 5 seed:", c9bar in seeds_for(5, tuple(family)),
+      "and 5-vertex-critical:", is_k_vertex_critical(c9bar, 5).is_vertex_critical)

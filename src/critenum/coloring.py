@@ -100,30 +100,27 @@ def _normalized(assignment: list[int]) -> Coloring:
     return Coloring(tuple(out), len(remap))
 
 
+def _largest_clique(rows: tuple[int, ...], cand: int, size: int, best: int) -> int:
+    """The larger of ``best`` and the largest clique of ``size`` vertices plus some of ``cand``.
+
+    The ``size`` vertices form a clique adjacent to every vertex of ``cand``.
+    """
+    while cand:
+        if size + cand.bit_count() <= best:
+            return best
+        b = cand & -cand
+        sub = cand & rows[b.bit_length() - 1]
+        if size + 1 > best:
+            best = size + 1
+        if sub:
+            best = _largest_clique(rows, sub, size + 1, best)
+        cand ^= b
+    return best
+
+
 def clique_number(g: Graph) -> int:
     """Maximum clique size by branch and bound over bitset candidate sets."""
-    n = g.n
-    if n == 0:
-        return 0
-    rows = g.rows
-    best = 1
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            b = cand & -cand
-            v = b.bit_length() - 1
-            sub = cand & rows[v]
-            if size + 1 > best:
-                best = size + 1
-            if sub:
-                expand(sub, size + 1)
-            cand ^= b
-
-    expand((1 << n) - 1, 0)
-    return best
+    return _largest_clique(g.rows, (1 << g.n) - 1, 0, 0)
 
 
 def chromatic_number(g: Graph) -> int:

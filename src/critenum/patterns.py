@@ -191,31 +191,12 @@ def embedding_is_induced(host: Graph, pattern: Graph, emb: Embedding) -> bool:
     return True
 
 
-def _match_order(pg: Graph, pinned: tuple[int, ...]) -> tuple[int, ...]:
-    """Assignment order: the pinned vertices first, then by placed-neighbor count and degree."""
-    order = list(pinned)
-    placed = 0
-    for v in pinned:
-        placed |= 1 << v
-    while len(order) < pg.n:
-        pick = -1
-        best = (-1, -1)
-        for v in range(pg.n):
-            if (placed >> v) & 1:
-                continue
-            key = ((pg.rows[v] & placed).bit_count(), pg.rows[v].bit_count())
-            if key > best:
-                best = key
-                pick = v
-        order.append(pick)
-        placed |= 1 << pick
-    return tuple(order)
-
-
 @lru_cache(maxsize=None)  # keyed on patterns and list members only: a whole list stays cached
 def _match_plan(pg: Graph, pinned: tuple[int, ...]):
-    """The match order of ``pg`` with ``pinned`` first, and the plan :func:`_embed` runs.
+    """The match order of ``pg`` and the plan :func:`_embed` runs.
 
+    The order is ``pinned``, then each time the unplaced vertex with the
+    most placed neighbors, then the highest degree, the least on a tie.
     The plan gives per step the earlier steps with whether they are
     adjacent, the degree, and ``above``: the earlier unpinned steps s whose
     host vertex must lie below this step's, those such that an automorphism
@@ -229,10 +210,16 @@ def _match_plan(pg: Graph, pinned: tuple[int, ...]):
     after all of its runs.  A condition that two others already imply,
     through a later step of the same orbit, is left out.
     """
-    order = _match_order(pg, pinned)
-    prev = tuple(tuple((t, bool(pg.rows[v] >> order[t] & 1)) for t in range(s))
+    rows = pg.rows
+    order = list(pinned)
+    while len(order) < pg.n:
+        placed = sum(1 << v for v in order)
+        order.append(max((u for u in range(pg.n) if u not in order),
+                         key=lambda u: ((rows[u] & placed).bit_count(), rows[u].bit_count())))
+    order = tuple(order)
+    prev = tuple(tuple((t, bool(rows[v] >> order[t] & 1)) for t in range(s))
                  for s, v in enumerate(order))
-    degs = tuple(pg.rows[v].bit_count() for v in order)
+    degs = tuple(rows[v].bit_count() for v in order)
     above: list[tuple[int, ...]] = [()] * pg.n
     plan = (prev, degs, above)
     for s in range(pg.n - 2, len(pinned) - 1, -1):
@@ -367,6 +354,7 @@ def free_after_extension(host: Graph, family: Iterable[Graph], new_vertex: int) 
     Only embeddings through the new vertex can exist, so each pattern is
     searched pinned at one representative of every automorphism orbit.
     """
+    host._check_vertex(new_vertex)
     for pg in family:
         for role in _orbit_leasts(pg, ()):
             if _search(host, pg, (role,), (new_vertex,)) is not None:
@@ -409,71 +397,50 @@ def _vertex_bitmaps(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sides)
 
 
-def _forbidden_by_plan(host: Graph, v: int, plan, sides) -> int:
-    """The cubes of the embeddings of the plan whose anchor maps to v and the rest below v, ORed.
+def _forbidden_from(hrows, plan, sides, below, placed, chosen, s, cand, used, cube) -> int:
+    """The cubes of the embeddings of the plan that place step s at a vertex of ``cand``, ORed.
 
-    Only the embeddings that map each step above the host vertices of the
-    steps in its ``above`` are enumerated.  Each path of the search carries
-    the cube of the vertices it has placed, so a step costs one AND.  A step
-    works out the candidates of the next one for each vertex it places, and
-    when the next one is the last, ORs their sides before the one AND with
-    the cube instead of going deeper.  The search is one loop over per-step
-    lists, not a nested function that calls itself: that would hold its own
-    closure cell, a reference cycle that keeps the search's state alive until
-    the cyclic garbage collector runs.
+    The earlier steps sit at the host rows ``placed`` and bits ``chosen``,
+    the vertices ``used``, and ``cube`` is their cube.  The later steps go to
+    the unused vertices of ``below``, each above the host vertices of the
+    steps in its ``above``: only those embeddings are enumerated.  Each path
+    of the search carries the cube of the vertices it has placed, so a step
+    costs one AND.  A step works out the candidates of the next one for each
+    vertex it places, and when the next one is the last, ORs their sides
+    before the one AND with the cube instead of going deeper.
     """
     prev, marked, above = plan
-    pn = len(prev)
-    if pn > v + 1:
-        return 0
-    if pn == 1:
-        return sides[v][marked[0]]
-    below = (1 << v) - 1
-    hrows = host.rows
-    placed = [0] * pn  # host row of the vertex placed at each step
-    chosen = [0] * pn  # its bit
-    # Per step below the current one, saved when the search went on from it:
-    # its candidates not yet tried, and the image and the cube it started from.
-    cands = [0] * pn
-    useds = [0] * pn
-    cubes = [0] * pn
-    last = pn - 1
+    mark = marked[s]
+    nxt = s + 1
+    nprev, nabove, nmark = prev[nxt], above[nxt], marked[nxt]
+    last = nxt == len(prev) - 1
     forbidden = 0
-    s, cand, used, cube = 0, 1 << v, 0, -1  # -1: every bit set, the cube of no vertex
-    while True:
-        mark = marked[s]
-        nxt = s + 1
-        nprev, nabove, nmark = prev[nxt], above[nxt], marked[nxt]
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            h = b.bit_length() - 1
-            placed[s] = hrows[h]
-            chosen[s] = b
-            c = below & ~(used | b)
-            if nabove:  # the loop alone costs an iterator per placement
-                for t in nabove:  # above the host vertex of step t
-                    c &= -(chosen[t] << 1)
-            for t, is_edge in nprev:
-                c &= placed[t] if is_edge else ~placed[t]
-                if not c:
-                    break
-            else:
-                if nxt < last:
-                    cands[s], useds[s], cubes[s] = cand, used, cube
-                    s, cand, used, cube = nxt, c, used | b, cube & sides[h][mark]
-                    break
-                either = 0
-                while c:
-                    b = c & -c
-                    c ^= b
-                    either |= sides[b.bit_length() - 1][nmark]
-                forbidden |= cube & sides[h][mark] & either
-        else:  # step s has no candidate left: back to the step below
-            if not s:
-                return forbidden
-            s -= 1
-            cand, used, cube = cands[s], useds[s], cubes[s]
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        h = b.bit_length() - 1
+        placed[s] = hrows[h]
+        chosen[s] = b
+        c = below & ~(used | b)
+        if nabove:  # the loop alone costs an iterator per placement
+            for t in nabove:  # above the host vertex of step t
+                c &= -(chosen[t] << 1)
+        for t, is_edge in nprev:
+            c &= placed[t] if is_edge else ~placed[t]
+            if not c:
+                break
+        else:
+            if not last:
+                forbidden |= _forbidden_from(hrows, plan, sides, below, placed, chosen,
+                                             nxt, c, used | b, cube & sides[h][mark])
+                continue
+            either = 0
+            while c:
+                b = c & -c
+                c ^= b
+                either |= sides[b.bit_length() - 1][nmark]
+            forbidden |= cube & sides[h][mark] & either
+    return forbidden
 
 
 def forbidden_through(g: Graph, family: Iterable[Graph], v: int) -> int:
@@ -517,10 +484,18 @@ def forbidden_through(g: Graph, family: Iterable[Graph], v: int) -> int:
     reached exactly once, for any P.
     """
     sides = _vertex_bitmaps(v + 1)
+    below = (1 << v) - 1
     forbidden = 0
     for p in family:
         for plan in _anchored_plans(p):
-            forbidden |= _forbidden_by_plan(g, v, plan, sides)
+            pn = len(plan[0])
+            if pn > v + 1:
+                continue
+            if pn == 1:
+                forbidden |= sides[v][plan[1][0]]
+            else:  # -1: every bit set, the cube of no vertex
+                forbidden |= _forbidden_from(g.rows, plan, sides, below, [0] * pn, [0] * pn,
+                                             0, 1 << v, 0, -1)
     return forbidden
 
 

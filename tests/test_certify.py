@@ -5,6 +5,8 @@ import pytest
 from critenum import (
     Certificate,
     Coloring,
+    Embedding,
+    Graph,
     IncompleteListError,
     NotInClassError,
     add_vertex_with_neighborhood,
@@ -193,3 +195,34 @@ def test_certificate_exactly_one_variant():
         Certificate(coloring=Coloring((0,), 1), witness=w)
     assert Certificate(coloring=Coloring((0,), 1)).coloring is not None
     assert Certificate(witness=w).witness is not None
+
+
+def test_coloring_recheck_rejects_bad_colorings():
+    # a certificate is re-checked before it is trusted, so each fault must fail it
+    c5 = cycle(5)
+    assert Coloring((0, 1, 0, 1, 2), 3).is_proper_for(c5)
+    assert not Coloring((0, 1, 0, 1), 2).is_proper_for(c5)  # one vertex short
+    assert not Coloring((0, 1, 0, 1, 2, 0), 3).is_proper_for(c5)  # one vertex too many
+    assert not Coloring((0, 1, 0, 1, 0), 2).is_proper_for(c5)  # the edge 4-0 in one colour
+    assert not Coloring((0, 1, 0, 1, 2), 4).is_proper_for(c5)  # colors_used too high
+    assert not Coloring((0, 1, 0, 1, 2), 2).is_proper_for(c5)  # and too low
+    assert not Coloring((0, 1, 0, 1, 3), 3).is_proper_for(c5)  # colour 2 unused
+    empty = Graph(0, ())
+    assert Coloring((), 0).is_proper_for(empty)
+    assert not Coloring((), 1).is_proper_for(empty)
+
+
+def test_embedding_recheck_rejects_bad_embeddings():
+    # each map below breaks exactly one condition of an induced embedding
+    p6 = path(6)
+    assert embedding_is_induced(p6, P5, Embedding((0, 1, 2, 3, 4)))
+    assert not embedding_is_induced(p6, P5, Embedding((0, 1, 2, 3)))  # the wrong length
+    # a repeated image: the two isolated vertices of 2P1 both at vertex 1
+    assert embedding_is_induced(p6, parse_pattern("2p1"), Embedding((1, 3)))
+    assert not embedding_is_induced(p6, parse_pattern("2p1"), Embedding((1, 1)))
+    for out in (6, -1):  # out of range
+        assert not embedding_is_induced(p6, P5, Embedding((0, 1, 2, 3, out)))
+    # the edge 3-4 of P5 onto the non-edge 3-5 of P6; every non-edge stays one
+    assert not embedding_is_induced(p6, P5, Embedding((0, 1, 2, 3, 5)))
+    # the non-edge 0-2 of P3 onto an edge of K3
+    assert not embedding_is_induced(complete(3), path(3), Embedding((0, 1, 2)))

@@ -13,7 +13,7 @@ from critenum import (
     delete_vertex,
     is_k_colorable,
 )
-from oracles import naive_chromatic, random_graph
+from oracles import cyclic_garbage, naive_chromatic, random_graph
 
 
 def test_odd_cycle():
@@ -68,6 +68,15 @@ def test_clique_bound_and_exactness():
         assert lo <= chi
         assert is_k_colorable(g, chi) is not None
         assert chi == 0 or is_k_colorable(g, chi - 1) is None
+
+
+def test_clique_number_leaves_no_cyclic_garbage():
+    # the search is a module function that calls itself, not a closure over
+    # the best size so far, so reference counting frees it when it returns
+    rng = random.Random(20261025)
+    graphs = [complement(cycle(9)), complete(6)]
+    graphs += [random_graph(rng, rng.randint(0, 14), rng.random()) for _ in range(50)]
+    assert cyclic_garbage(lambda: [clique_number(g) for g in graphs]) == 0
 
 
 def test_monotonicity_under_deletion():

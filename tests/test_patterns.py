@@ -223,6 +223,14 @@ def test_free_after_extension_examples():
     assert free_after_extension(host2, [parse_pattern("p5")], 4)
 
 
+def test_free_after_extension_checks_the_new_vertex():
+    # a P5 has no vertex 5, and no vertex -1
+    host = add_vertex_with_neighborhood(path(4), {3})
+    for v in (5, -1):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for order 5"):
+            free_after_extension(host, [path(5)], v)
+
+
 def test_free_after_extension_differential():
     rng = random.Random(43)
     family = [parse_pattern("p5"), parse_pattern("co(k3+2p1)")]
@@ -332,12 +340,12 @@ def test_forbidden_traces_edge_cases():
         assert _allowed(_forbidden(g, big), n) == list(range(1 << n))
 
 
-@pytest.mark.parametrize("name", ["p1", "p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)",
-                                  "c4", "c5", "k4", "2p2"])
+@pytest.mark.parametrize("name", ["p1", "k2", "2p1", "p5", "k1,3+p1", "k1,4+p1",
+                                  "co(k3+2p1)", "c4", "c5", "k4", "2p2"])
 def test_forbidden_traces_equal_all_embeddings(name, monkeypatch):
     # the conditions of the search pinned at r and a, and one anchor per orbit,
     # lose no trace, and the bitmap through v forbids exactly what those traces
-    # forbid, mask by mask
+    # forbid, mask by mask (K2 and 2P1 leave P - r one vertex: a one-step plan)
     rng = random.Random(20261020)
     family = [parse_pattern(name)]
     for _ in range(40):
@@ -352,13 +360,13 @@ def test_forbidden_traces_equal_all_embeddings(name, monkeypatch):
             assert allowed == scan_extension_masks(through, v + 1), (name, g, v)
 
 
-@pytest.mark.parametrize("name", ["p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)",
+@pytest.mark.parametrize("name", ["k2", "2p1", "p5", "k1,3+p1", "k1,4+p1", "co(k3+2p1)",
                                   "c4", "c5", "k4", "2p2", "c6", "k2,3"])
 def test_trace_search_reports_each_trace_once(name, monkeypatch):
     # one anchor per orbit of the stabilizer of r, and the conditions of the
     # search pinned at r and a: no trace is found twice, for any P (C6 needs
-    # its reflection, which swaps no twins; P1 is left out, as a P1-free host
-    # is empty)
+    # its reflection, which swaps no twins; K2 and 2P1 run one-step plans; P1
+    # is left out, as a P1-free host is empty)
     rng = random.Random(20261023)
     family = [parse_pattern(name)]
     total = 0
@@ -397,9 +405,27 @@ def test_trace_bitmaps_are_pinned():
     assert digest.hexdigest() == "04eee310b0c1c0490f0e73fa51e94b796a9aadf131c81a1e9d7e1ac5dab229f6"
 
 
+def test_match_plans_are_pinned():
+    # the order and conditions of every plan the searches run: unpinned, pinned
+    # at any one vertex, at each (r, a) of the trace plans, and the trace plans
+    rng = random.Random(20261024)
+    patterns = [parse_pattern(name) for name in [
+        "p1", "k2", "2p1", "p5", "p6", "k1,3+p1", "k1,4+p1", "co(k3+2p1)",
+        "c4", "c5", "c6", "k4", "k5", "2p2", "k2,3", "3p3"]]
+    patterns += [random_graph(rng, rng.randint(1, 8), rng.random()) for _ in range(200)]
+    digest = hashlib.sha256()
+    for pg in patterns:
+        pins = [()] + [(r,) for r in range(pg.n)]
+        pins += [(r, a) for r in _orbit_leasts(pg, ()) for a in _orbit_leasts(pg, (r,))]
+        for pinned in pins:
+            digest.update(repr(_match_plan(pg, pinned)).encode())
+        digest.update(repr(_anchored_plans(pg)).encode())
+    assert digest.hexdigest() == "5295bc3730c1043cc85328c22d49e6d5d797d72bf9fcd4d4210f02c1999444a2"
+
+
 def test_trace_search_leaves_no_cyclic_garbage():
-    # the search keeps its state in per-step lists, freed by reference
-    # counting when it returns, so the cyclic collector has nothing to sweep
+    # the search is a module function that calls itself, not a closure, so
+    # reference counting frees its state and the cyclic collector has nothing to sweep
     cases = _trace_cases(20261022)
     assert cyclic_garbage(lambda: [forbidden_through(g, family, v)
                                    for g, family in cases for v in range(g.n)]) == 0
