@@ -11,7 +11,6 @@ from critenum import (
     complete,
     cycle,
     disjoint_union,
-    find_comparable_pair,
     find_xy_obstruction,
     is_k_colorable,
     is_k_vertex_critical,
@@ -42,7 +41,9 @@ print("K5 + isolated vertex:", is_k_vertex_critical(spoiled, 5))
 from critenum import complete_bipartite
 
 claw = complete_bipartite(1, 3)
-print("comparable pair in the claw:", find_comparable_pair(claw))
-print("comparable pair in C5:", find_comparable_pair(c5))
+# The obstruction comes back as two vertex bitmasks (X, Y); a comparable
+# pair is the one-vertex case, found first.
+print("comparable pair in the claw:", find_xy_obstruction(claw))
+print("comparable pair in C5:", find_xy_obstruction(c5))
 print("small obstruction in K5 + K1:",
       find_xy_obstruction(disjoint_union(complete(5), path(1))))

@@ -13,7 +13,7 @@ from critenum import (
     canonical_form,
     encode_graph6,
     enumerate_5vc,
-    find_comparable_pair,
+    find_xy_obstruction,
     is_family_free,
     is_k_vertex_critical,
     parse_pattern,
@@ -36,9 +36,10 @@ for g in result.graphs[:5]:
 # Everything the search emits re-verifies independently.
 assert all(is_family_free(g, family) for g in result.graphs)
 assert all(is_k_vertex_critical(g, 5).is_vertex_critical for g in result.graphs)
-assert all(find_comparable_pair(g) is None for g in result.graphs)
+assert all(find_xy_obstruction(g) is None for g in result.graphs)
 assert len({canonical_form(g) for g in result.graphs}) == len(result.graphs)
-print("re-verified: family-free, 5-vertex-critical, pairwise non-isomorphic")
+print("re-verified: family-free, 5-vertex-critical, no (X, Y) obstruction, "
+      "pairwise non-isomorphic")
 
 # Pruning is sound: with the rules disabled the same set comes out, slower.
 t0 = time.time()

@@ -21,7 +21,6 @@ from .certify import (
 from .coloring import Coloring, chromatic_number, clique_number, is_k_colorable
 from .critical import (
     CriticalityReport,
-    find_comparable_pair,
     find_xy_obstruction,
     is_k_critical_in_class,
     is_k_vertex_critical,

@@ -24,9 +24,7 @@ class Coloring:
         if len(self.assignment) != g.n:
             return False
         used = set(self.assignment)
-        if used and (self.colors_used != len(used) or used != set(range(self.colors_used))):
-            return False
-        if not used and self.colors_used != 0:
+        if self.colors_used != len(used) or used != set(range(self.colors_used)):
             return False
         return all(self.assignment[u] != self.assignment[v] for u, v in g.edges())
 

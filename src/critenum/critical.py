@@ -70,19 +70,6 @@ def _candidates(rows: tuple[int, ...], xmask: VertexSet) -> VertexSet:
     return cand
 
 
-def find_comparable_pair(g: Graph) -> tuple[int, int] | None:
-    """A nonadjacent ordered pair (u, v) with N(u) subset of N(v), else None.
-
-    The least u, then the least v: the first stage of
-    :func:`find_xy_obstruction`.
-    """
-    for u in range(g.n):
-        cand = _candidates(g.rows, 1 << u)
-        if cand:
-            return (u, (cand & -cand).bit_length() - 1)
-    return None
-
-
 def find_xy_obstruction(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     """Disjoint X, Y of one or two vertices violating criticality, as bitmasks, else None.
 
@@ -95,13 +82,15 @@ def find_xy_obstruction(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     in X and y in Y: a single vertex has chi 1, and N(x) lies inside N(X)
     since x has no neighbor in X.  An edge X has chi 2, so its Y must be an
     edge too.  The first pair is therefore the first comparable pair (the
-    (1, 1) stage), else the first edge X with an edge Y among the
+    (1, 1) stage: the least u, then the least v, nonadjacent with N(u)
+    inside N(v)), else the first edge X with an edge Y among the
     candidates of X.
     """
-    pair = find_comparable_pair(g)
-    if pair is not None:
-        return (1 << pair[0], 1 << pair[1])
     rows = g.rows
+    for u in range(g.n):
+        cand = _candidates(rows, 1 << u)
+        if cand:
+            return (1 << u, cand & -cand)
     for a, b in g.edges():
         xmask = 1 << a | 1 << b
         cand = _candidates(rows, xmask)

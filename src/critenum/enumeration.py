@@ -7,10 +7,12 @@ emitted iff it is k-vertex-critical, and never extended (no supergraph of a
 non-critical chi >= k graph can be vertex-critical).
 
 One level-synchronous driver, :func:`recursively_enumerate`, runs the whole
-search, one pass over each level.  A node's worker labels every child it
-builds with its canonical key (:func:`canon.canonical_key`), and the driver
-merges the children into the next level, a dict keyed by canonical key, as
-each parent's result arrives, in parent order; the seeds of order n are
+search, one pass over each level.  One worker, :func:`_process_node`,
+does all of a node's work: it filters its children, decides their kinds
+under pruning, and labels every child it builds with its canonical key
+(:func:`canon.canonical_key`).  The driver merges the children into the
+next level, a dict keyed by canonical key, as each parent's result
+arrives, in parent order; the seeds of order n are
 merged after the children of level n - 1.  A child always has one vertex
 more than its parent, so this one dict per level removes every duplicate,
 whichever seed or path reached it, and keeps the first graph of each class.
@@ -167,6 +169,7 @@ from .graphs import (
     Graph,
     VertexSet,
     add_vertex_with_neighborhood,
+    bits,
     complement,
     complete,
     cycle,
@@ -228,8 +231,18 @@ _Node = tuple[Graph, list[bytes], tuple[int] | None, int | None]
 def _process_node(node: _Node, cfg: SearchConfig):
     """The node's outcome, and for ``_EXPAND`` its children as ``(canonical key, node)``.
 
-    The children share one box holding the node's freeness bitmap, so that
-    pickle, which copies a repeated int each time but a repeated tuple once,
+    An expanded node g filters the 2^n neighborhoods of a new vertex with
+    its freeness bitmap, ORed under pruning with the cubes (X, 0) and
+    (Y, Y) of its obstruction, and keeps the least allowed mask of each
+    orbit of ``autos`` (:func:`_orbit_least`).  Under pruning the kept
+    masks get their kinds from :func:`_child_kinds` and dead ones are not
+    built; without it every kind is None, left to the child.  Each child
+    is labelled by :func:`canon.canonical_key`, seeded with the
+    automorphisms of ``autos`` that fix its neighborhood, extended by
+    n -> n.  The children share one box holding the node's freeness bitmap
+    ORed, under pruning, with its dead ends (the s with g + s not
+    (k-1)-colorable), which never enter the node's own filter.  Pickle,
+    which copies a repeated int each time but a repeated tuple once, then
     sends the bitmap once per chunk of the next level under ``jobs > 1``.
     """
     g, autos, inherited, kind = node
@@ -243,12 +256,31 @@ def _process_node(node: _Node, cfg: SearchConfig):
     if g.n >= cfg.max_order:
         return (_TRUNCATED, None)
     free = _freeness_bitmap(g, cfg.family, None if inherited is None else inherited[0])
-    extensions, dead_ends = _allowed_free_extensions(g, cfg, autos, free)
-    box = (free | dead_ends,)
+    ones = (1 << (1 << g.n)) - 1
+    forbidden = free
+    ob = find_obligations(g) if cfg.pruning else None
+    if ob is not None:  # the new vertex meets x and misses part of y
+        x, y = ob
+        sides = _vertex_bitmaps(g.n)
+        misses_x = contains_y = ones
+        for v in bits(x):
+            misses_x &= sides[v][0]
+        for v in bits(y):
+            contains_y &= sides[v][1]
+        forbidden |= misses_x | contains_y
+    kept, stabilizers = _orbit_least(set_bits(ones ^ forbidden), autos)
+    if cfg.pruning:
+        kinds, colorable = _child_kinds(g, cfg.k, kept)
+        box = (free | ones ^ colorable,)
+    else:
+        kinds, box = [None] * len(kept), (free,)
+    fix_new = bytes([g.n])
     children = []
-    for c, c_kind, stabilizer in extensions:
-        key, c_autos = canonical_key(c, stabilizer)
-        children.append((key, (c, c_autos, box, c_kind)))
+    for s, c_kind, stabilizer in zip(kept, kinds, stabilizers):
+        if c_kind != _DEAD:
+            c = add_vertex_with_neighborhood(g, s)
+            key, c_autos = canonical_key(c, [a + fix_new for a in stabilizer])
+            children.append((key, (c, c_autos, box, c_kind)))
     return (_EXPAND, children)
 
 
@@ -266,43 +298,6 @@ def _freeness_bitmap(g: Graph, family: tuple[Graph, ...], inherited: int | None)
     for v in range(first, g.n):
         free |= free << (1 << v) | forbidden_through(g, family, v)
     return free
-
-
-def _allowed_free_extensions(
-    g: Graph, cfg: SearchConfig, autos: list[bytes], free: int,
-) -> tuple[list[tuple[Graph, int | None, list[bytes]]], int]:
-    """The children of ``g`` to search, one per orbit of ``autos``, and the dead ends.
-
-    ``free`` is the freeness bitmap of ``g`` (:func:`_freeness_bitmap`).
-    Each child comes with its kind and with the automorphisms of ``autos``
-    that fix its new neighborhood, extended to fix the new vertex.  With
-    pruning, the kind is from :func:`_child_kinds`, dead children are not
-    built, and the dead ends are the bitmap of the s with g + s not
-    (k-1)-colorable; without, every kind is None and the dead ends are 0.
-    """
-    ones = (1 << (1 << g.n)) - 1
-    forbidden = free
-    ob = find_obligations(g) if cfg.pruning else None
-    if ob is not None:  # the new vertex meets x and misses part of y
-        x, y = ob
-        sides = _vertex_bitmaps(g.n)
-        misses_x = contains_y = ones
-        for v in range(g.n):
-            if x >> v & 1:
-                misses_x &= sides[v][0]
-            if y >> v & 1:
-                contains_y &= sides[v][1]
-        forbidden |= misses_x | contains_y
-    kept, stabilizers = _orbit_least(set_bits(ones ^ forbidden), autos)
-    if cfg.pruning:
-        kinds, colorable = _child_kinds(g, cfg.k, kept)
-        dead_ends = ones ^ colorable
-    else:
-        kinds, dead_ends = [None] * len(kept), 0
-    fix_new = bytes([g.n])
-    children = [(add_vertex_with_neighborhood(g, s), kind, [a + fix_new for a in stabilizer])
-                for s, kind, stabilizer in zip(kept, kinds, stabilizers) if kind != _DEAD]
-    return children, dead_ends
 
 
 def _child_kinds(g: Graph, k: int, masks: list[VertexSet]) -> tuple[list[int], int]:
@@ -406,9 +401,12 @@ def recursively_enumerate(
     induced subgraph is returned once, sorted by :func:`sort_graphs`.  A
     seed that is not family-free is an error naming its position in
     ``cfg.seeds`` and its graph6.  Each level is one pass of
-    :func:`_process_node` over its distinct graphs; their labelled children
-    are merged into the next level as each result arrives, in submission
-    order.  ``progress(order, count)`` is called once per order with the
+    :func:`_process_node` over its distinct graphs.  Their labelled
+    children, each with the kind its parent decided under pruning, the
+    automorphisms of its seeded canonical search and its parent's box (the
+    parent's freeness bitmap, with its dead ends under pruning), are merged
+    into the next level as each result arrives, in submission order.
+    ``progress(order, count)`` is called once per order with the
     count of that pass.  Truncation (an extendable graph stopped by the
     order cap, or a seed above the cap, which is never searched) is counted
     in ``open_nodes``, and ``complete`` is False then, never silently.

@@ -210,6 +210,7 @@ def test_coloring_recheck_rejects_bad_colorings():
     empty = Graph(0, ())
     assert Coloring((), 0).is_proper_for(empty)
     assert not Coloring((), 1).is_proper_for(empty)
+    assert not Coloring((), -1).is_proper_for(empty)
 
 
 def test_embedding_recheck_rejects_bad_embeddings():

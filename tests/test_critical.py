@@ -11,7 +11,6 @@ from critenum import (
     cycle,
     delete_vertex,
     disjoint_union,
-    find_comparable_pair,
     find_xy_obstruction,
     induced_subgraph,
     is_family_free,
@@ -86,22 +85,17 @@ def test_critical_deletions_drop_chi_by_exactly_one():
 
 
 def test_comparable_pairs():
-    pair = find_comparable_pair(complete_bipartite(1, 3))
-    assert pair is not None
-    u, v = pair
-    g = complete_bipartite(1, 3)
-    assert not g.has_edge(u, v)
-    assert g.rows[u] & ~g.rows[v] == 0
-    assert find_comparable_pair(cycle(5)) is None
-    assert find_comparable_pair(complete(5)) is None
-
-
-def test_comparable_pair_is_xy_singleton():
+    # the (1, 1) stage: a nonadjacent u, v with N(u) inside N(v), as two one-bit masks
     g = complete_bipartite(1, 3)
     ob = find_xy_obstruction(g)
     assert ob is not None
     x, y = ob
     assert x.bit_count() == 1 and y.bit_count() == 1
+    u, v = x.bit_length() - 1, y.bit_length() - 1
+    assert not g.has_edge(u, v)
+    assert g.rows[u] & ~g.rows[v] == 0
+    assert find_xy_obstruction(cycle(5)) is None
+    assert find_xy_obstruction(complete(5)) is None
 
 
 def _brute_xy(g, max_size):
@@ -138,17 +132,16 @@ def test_xy_obstruction_against_brute_force():
         ob = find_xy_obstruction(g)
         assert ob == _brute_xy(g, 2), g
         found += ob is not None
-        one = _brute_xy(g, 1)
-        pair = None if one is None else (one[0].bit_length() - 1, one[1].bit_length() - 1)
-        assert find_comparable_pair(g) == pair, g
+        # the (1, 1) stage alone: the first comparable pair, when there is one
+        stage_11 = ob if ob is not None and (ob[0] | ob[1]).bit_count() == 2 else None
+        assert stage_11 == _brute_xy(g, 1), g
     assert 700 < found < 900
 
 
 def test_no_critical_graph_has_obstruction():
     # vertex-critical graphs contain no comparable pair and no small obstruction
     for g in [complete(5), complement(cycle(9)), cycle(5), complete(3)]:
-        assert find_comparable_pair(g) is None
-        assert find_xy_obstruction(g) is None
+        assert find_xy_obstruction(g) is None  # its (1, 1) stage included
 
 
 def test_in_class_criticality_examples():

@@ -20,7 +20,6 @@ from critenum import (
     cycle,
     disjoint_union,
     enumerate_5vc,
-    find_comparable_pair,
     find_xy_obstruction,
     induced_subgraph,
     is_family_free,
@@ -39,7 +38,6 @@ from critenum.enumeration import (
     _DEAD,
     _EXPAND,
     _OUT,
-    _allowed_free_extensions,
     _child_kinds,
     _freeness_bitmap,
     _orbit_least,
@@ -65,8 +63,8 @@ C6 = parse_pattern("c6")
 
 def _children(g, cfg, autos=(), inherited=None):
     """The children ``g`` gets in the search, its freeness bitmap built on ``inherited``."""
-    free = _freeness_bitmap(g, cfg.family, inherited)
-    return [c for c, _, _ in _allowed_free_extensions(g, cfg, autos, free)[0]]
+    box = None if inherited is None else (inherited,)
+    return [c for _, (c, _, _, _) in _process_node((g, autos, box, _EXPAND), cfg)[1]]
 
 
 def test_one_vertex_extensions_counts():
@@ -121,8 +119,7 @@ def test_outputs_reverify(h):
     for g in res.graphs:
         assert is_family_free(g, family)
         assert is_k_vertex_critical(g, 5).is_vertex_critical
-        assert find_comparable_pair(g) is None
-        assert find_xy_obstruction(g) is None
+        assert find_xy_obstruction(g) is None  # no comparable pair either
         forms.add(canonical_form(g))
     assert len(forms) == len(res.graphs)
 
@@ -511,7 +508,7 @@ def test_children_one_per_automorphism_orbit(pruning):
     assert dropped > 0
 
 
-def test_children_carry_stabilizer_automorphisms():
+def test_children_carry_stabilizer_automorphisms(monkeypatch):
     # each kept mask comes with the generators that fix it, transpositions
     # (twin swaps) left out, and each child with them extended by n -> n,
     # automorphisms of the child that seed its canonical search
@@ -523,21 +520,35 @@ def test_children_carry_stabilizer_automorphisms():
         g = random_graph(rng, rng.randint(4, 7), rng.uniform(0.3, 0.9))
         if is_family_free(g, family) and is_k_colorable(g, 4) is not None:
             parents.append(g)
+    seeded = []
+
+    def recorded(c, automorphisms=()):
+        seeded.append((c, automorphisms))
+        return canonical_key(c, automorphisms)
+
+    monkeypatch.setattr(critenum.enumeration, "canonical_key", recorded)
     stabilized = 0
     for g in parents:
         autos = canonical_key(g)[1]
+
+        def fixing(s):
+            return [a for a in autos if sum(1 << a[v] for v in range(g.n) if s >> v & 1) == s
+                    and sum(a[v] != v for v in range(g.n)) != 2]
+
         free = _freeness_bitmap(g, family, None)
         kept, stabilizers = _orbit_least(set_bits((1 << (1 << g.n)) - 1 ^ free), autos)
         assert len(stabilizers) == len(kept)
         for s, stabilizer in zip(kept, stabilizers):
-            fixing = [a for a in autos if sum(1 << a[v] for v in range(g.n) if s >> v & 1) == s
-                      and sum(a[v] != v for v in range(g.n)) != 2]
-            assert stabilizer == fixing, (g, s)
+            assert stabilizer == fixing(s), (g, s)
             stabilized += bool(stabilizer)
-        for c, _, c_autos in _allowed_free_extensions(g, cfg, autos, free)[0]:
+        seeded.clear()
+        children = _process_node((g, autos, None, _EXPAND), cfg)[1]
+        assert [c for _, (c, _, _, _) in children] == [c for c, _ in seeded]
+        for (key, _), (c, c_autos) in zip(children, seeded):
+            assert c_autos == [a + bytes([g.n]) for a in fixing(c.rows[g.n])], (g, c)
             for a in c_autos:
                 assert a[g.n] == g.n and permuted(c, list(a)) == c, (g, c, a)
-            assert canonical_key(c, c_autos)[0] == canonical_key(c)[0]
+            assert key == canonical_key(c)[0]
     assert stabilized > 0
 
 
@@ -556,25 +567,28 @@ def test_inherited_dead_ends_drop_only_dead_grandchildren(k, family):
         g = random_graph(rng, rng.randint(3, 6), rng.uniform(0.3, 0.9))
         if is_family_free(g, family) and is_k_colorable(g, k - 1) is not None:
             parents.append(g)
+
+    def kept(node):
+        return [(x.rows[-1], x_kind) for _, (x, _, _, x_kind) in _process_node(node, cfg)[1]]
+
     removed = critical_dead_ends = 0
     for g in parents:
         free = _freeness_bitmap(g, family, None)
-        children, dead_ends = _allowed_free_extensions(g, cfg, canonical_key(g)[1], free)
+        dead_ends = (1 << (1 << g.n)) - 1 ^ _child_kinds(g, k, [])[1]
         assert dead_ends == sum(1 << s for s in range(1 << g.n)
                                 if is_k_colorable(add_vertex_with_neighborhood(g, s), k - 1)
                                 is None)
-        critical_dead_ends += sum(dead_ends >> c.rows[g.n] & 1 for c, kind, _ in children
+        children = [child for _, child in
+                    _process_node((g, canonical_key(g)[1], None, _EXPAND), cfg)[1]]
+        assert all(box == (free | dead_ends,) for _, _, box, _ in children)
+        critical_dead_ends += sum(dead_ends >> c.rows[g.n] & 1 for c, _, _, kind in children
                                   if kind == _OUT)
-        for c, kind, c_autos in children:
+        for c, autos, box, kind in children:
             if kind != _EXPAND:
                 continue
-            autos = canonical_key(c, c_autos)[1]
             plain = _freeness_bitmap(c, family, free)
-            inherited = _freeness_bitmap(c, family, free | dead_ends)
-            assert [(x.rows[c.n], x_kind) for x, x_kind, _ in
-                    _allowed_free_extensions(c, cfg, autos, plain)[0]] == \
-                [(x.rows[c.n], x_kind) for x, x_kind, _ in
-                 _allowed_free_extensions(c, cfg, autos, inherited)[0]], (g, c)
+            inherited = _freeness_bitmap(c, family, box[0])
+            assert kept((c, autos, (free,), _EXPAND)) == kept((c, autos, box, _EXPAND)), (g, c)
             for t in set_bits(inherited & ~plain):
                 report = is_k_vertex_critical(add_vertex_with_neighborhood(c, t), k)
                 assert report.chi >= k and not report.is_vertex_critical, (g, c, t)
