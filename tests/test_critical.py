@@ -98,6 +98,14 @@ def test_comparable_pairs():
     assert find_xy_obstruction(complete(5)) is None
 
 
+def test_comparable_pair_is_xy_singleton():
+    g = complete_bipartite(1, 3)
+    ob = find_xy_obstruction(g)
+    assert ob is not None
+    x, y = ob
+    assert x.bit_count() == 1 and y.bit_count() == 1
+
+
 def _brute_xy(g, max_size):
     # literal scan of the three conditions over all small disjoint subsets, in the
     # documented order: stages by (|X| + |Y|, |X|), then X, then Y, lexicographic
